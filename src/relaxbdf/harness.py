@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .integrator import run
+from .integrator import _integer_step_count, run
 from .models import ModelSpec, build_model, initial_data
 from .oracle import exact_evolve, fine_step_reference
 from .spectral import SpectralField
@@ -83,9 +83,7 @@ class ExperimentConfig:
         if span <= 0.0:
             raise ValueError("t_final must exceed t_start")
         for dt in self.dts:
-            steps = span / dt
-            if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(round(steps))):
-                raise ValueError(f"(t_final - t_start)/dt = {steps!r} is not an integer")
+            _integer_step_count(span, dt)
         if self.fmt not in ("csv", "md"):
             raise ValueError(f"format must be 'csv' or 'md', got {self.fmt!r}")
         if self.error_norm not in ("grid", "continuum"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relaxbdf.harness import compute_error
+from relaxbdf.linalg import SingularMatrixError, lu_factor
 from relaxbdf.integrator import (
     NonIntegerStepCountError,
     UnsupportedOrderError,
@@ -38,6 +39,55 @@ def constant_field(value=1.0, cutoff=2, n=1, length=TWO_PI):
     coeffs = np.zeros((2 * cutoff + 1, n), dtype=complex)
     coeffs[cutoff] = value
     return SpectralField(coeffs, length)
+
+
+def substep_loop_startup(u0, system, q, dt, substep_divisor, real=np.float64):
+    """Reference ARS startup: every stage of every substep on the whole field.
+
+    ``real`` sets the working precision; the inputs are the float64 ones.
+    """
+    tableau = ars_tableau(q)
+    substep = real(dt / substep_divisor)
+    source = np.asarray(system.source).astype(real)
+    conv_t = np.asarray(system.convection).astype(real).T
+    source_t = source.T / real(system.epsilon)
+    ikappa = (1j * u0.wavenumbers.astype(real))[:, np.newaxis]
+    stage_lu = lu_factor(
+        np.eye(system.dimension, dtype=real)
+        - substep * real(tableau.implicit[1, 1]) / real(system.epsilon) * source
+    )
+
+    def f_explicit(u):
+        return -ikappa * (u @ conv_t)
+
+    def f_implicit(u):
+        return u @ source_t
+
+    fields = [np.array(u0.coeffs).astype(ikappa.dtype)]
+    u = fields[0]
+    for _ in range(q - 1):
+        for _ in range(substep_divisor):
+            fe = [f_explicit(u)]
+            fi = [np.zeros_like(u)]
+            for i in range(1, tableau.stages):
+                rhs = u.copy()
+                for j in range(i):
+                    if tableau.explicit[i, j] != 0.0:
+                        rhs += (substep * tableau.explicit[i, j]) * fe[j]
+                    if tableau.implicit[i, j] != 0.0:
+                        rhs += (substep * tableau.implicit[i, j]) * fi[j]
+                stage = stage_lu.solve(rhs.T).T
+                fe.append(f_explicit(stage))
+                fi.append(f_implicit(stage))
+            update = u.copy()
+            for j in range(tableau.stages):
+                if tableau.weights_explicit[j] != 0.0:
+                    update += (substep * tableau.weights_explicit[j]) * fe[j]
+                if tableau.weights_implicit[j] != 0.0:
+                    update += (substep * tableau.weights_implicit[j]) * fi[j]
+            u = update
+        fields.append(u)
+    return fields
 
 
 class TestCoefficients:
@@ -102,6 +152,34 @@ class TestStep:
             stepped = imex_bdf_step(state, system, coeffs)
         assert np.array_equal(stepped.mode(0)[:2], conserved_before)
 
+    def test_implicit_solve_with_nonsymmetric_source(self):
+        # Backward-Euler step checked against a direct per-mode solve; the
+        # stiff block is not symmetric, so a transposed inverse would show.
+        system = RelaxationSystem(
+            convection=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]]),
+            source=np.array([[0.0, 0.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.5, -3.0]]),
+            stiff_size=2,
+            epsilon=0.1,
+            domain_length=TWO_PI,
+        )
+        rng = np.random.default_rng(3)
+        coeffs = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+        u0 = SpectralField(coeffs, TWO_PI, real_valued=False)
+        dt = 0.05
+        state = make_solver_state([u0], system, bdf_coefficients(1), dt=dt)
+        stepped = imex_bdf_step(state, system, bdf_coefficients(1))
+        matrix = np.eye(3) - (dt / system.epsilon) * system.source
+        for k in range(-4, 5):
+            kappa = 2.0 * math.pi * k / TWO_PI
+            rhs = u0.mode(k) - dt * 1j * kappa * (system.convection @ u0.mode(k))
+            np.testing.assert_allclose(stepped.mode(k), np.linalg.solve(matrix, rhs), rtol=1e-14)
+
+    def test_singular_implicit_matrix_rejected(self):
+        # alpha_q - (beta dt/eps) * 1 vanishes for a growing mode at dt == eps.
+        system = scalar_decay_system(epsilon=0.25, rate=1.0)
+        with pytest.raises(SingularMatrixError):
+            make_solver_state([constant_field(1.0)], system, bdf_coefficients(1), dt=0.25)
+
     def test_one_step_error_second_order_for_q1(self):
         model = build_model("arz")
         system = model.system_at(1.0)
@@ -156,6 +234,52 @@ class TestArsStartup:
         for i, field in enumerate(fields):
             reference = exact_evolve(u0, system, i * 1e-3)
             assert compute_error(field, reference) < 1e-10
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-8])
+    def test_propagator_matches_substep_loop(self, name, q, epsilon):
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        u0 = initial_data(model, q, 8, epsilon)
+        fields = ars_startup(u0, system, q, 1e-2, substep_divisor=7)
+        reference = substep_loop_startup(u0, system, q, 1e-2, 7)
+        assert len(fields) == len(reference) == q
+        for field, expected in zip(fields, reference):
+            scale = np.abs(expected).max()
+            assert np.abs(field.coeffs - expected).max() <= 1e-13 * scale
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="needs an extended-precision long double",
+    )
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_no_roundoff_growth_over_substeps(self, q):
+        # 1000-1500 substeps: the float64 stage loop drifts from an
+        # extended-precision sweep by up to ~1e-14 relative; the compensated
+        # propagator must stay within one float64 ulp of the field scale.
+        model = build_model("arz")
+        system = model.system_at(1.0)
+        u0 = initial_data(model, q, 8, 1.0)
+        fields = ars_startup(u0, system, q, 1 / 700, substep_divisor=500)
+        reference = substep_loop_startup(u0, system, q, 1 / 700, 500, real=np.longdouble)
+        for field, expected in zip(fields, reference):
+            deviation = np.abs(field.coeffs - expected).max() / np.abs(expected).max()
+            assert deviation <= np.finfo(float).eps
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-4, 1e-8])
+    def test_conserved_components_bitwise_constant(self, name, q, epsilon):
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        u0 = initial_data(model, q, 8, epsilon)
+        bulk = system.bulk_size
+        conserved = u0.mode(0)[:bulk].copy()
+        for field in ars_startup(u0, system, q, 1e-2, substep_divisor=50):
+            assert np.array_equal(field.mode(0)[:bulk], conserved)
+        final = run(u0, system, q, 1e-2, 0.5, startup="ars", startup_divisor=50)
+        assert np.array_equal(final.mode(0)[:bulk], conserved)
 
     def test_tableau_row_sums_consistent(self):
         for tableau in (ars_tableau(2), ars_tableau(4)):
