@@ -17,15 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from .harness import ExperimentConfig, emit_table, run_convergence_study
 from .integrator import UnsupportedOrderError, bdf_coefficients
-from .models import build_model, initial_data
+from .models import MODEL_BUILDERS, build_model, initial_data
 from .oracle import exact_evolve
-from .system import check_structural_stability
+from .system import _parse_number, check_structural_stability
 from .theory import (
     fit_order,
     multiplier_data,
@@ -36,12 +35,8 @@ from .theory import (
 USAGE_ERROR, ASSERTION_FAILED = 1, 2
 
 
-def _number(token: str) -> float:
-    return float(Fraction(token))
-
-
 def _number_list(text: str) -> tuple[float, ...]:
-    return tuple(_number(tok) for tok in text.split(",") if tok)
+    return tuple(_parse_number(tok) for tok in text.split(",") if tok)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,21 +48,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a convergence study")
     run_p.add_argument("--config", help="JSON file with ExperimentConfig fields")
-    run_p.add_argument("--model", choices=["arz", "broadwell", "grad"])
+    run_p.add_argument("--model", choices=sorted(MODEL_BUILDERS))
     run_p.add_argument("--order", type=int, help="scheme order q (1..4)")
     run_p.add_argument("--eps", help="comma-separated relaxation times (fractions ok)")
     run_p.add_argument("--dt", help="comma-separated decreasing steps (fractions ok)")
     run_p.add_argument("--modes", type=int, help="Fourier cutoff N (default 100)")
     run_p.add_argument("--t0", help="start time (default 0)")
     run_p.add_argument("--tfinal", help="final time")
-    run_p.add_argument("--startup", help="'exact' or 'ars:DIVISOR' (default ars:500)")
+    run_p.add_argument("--startup", help="'exact', 'ars' or 'ars:DIVISOR' (default ars:500)")
     run_p.add_argument("--ref", help="'exact' or 'fine:DTREF' (default exact)")
     run_p.add_argument("--format", choices=["csv", "md"], dest="fmt")
     run_p.add_argument("--out", help="output path (stdout when omitted)")
-    run_p.add_argument("--seed", type=int)
 
     cert_p = sub.add_parser("check-stability", help="print a stability certificate")
-    cert_p.add_argument("--model", required=True, choices=["arz", "broadwell", "grad"])
+    cert_p.add_argument("--model", required=True, choices=sorted(MODEL_BUILDERS))
     cert_p.add_argument("--tol", type=float, default=1e-10)
 
     theory_p = sub.add_parser("verify-theory", help="multiplier and truncation checks")
@@ -85,13 +79,12 @@ def _config_from_args(args) -> ExperimentConfig:
         "epsilons": _number_list(args.eps) if args.eps else None,
         "dts": _number_list(args.dt) if args.dt else None,
         "modes": args.modes,
-        "t_start": _number(args.t0) if args.t0 else None,
-        "t_final": _number(args.tfinal) if args.tfinal else None,
+        "t_start": _parse_number(args.t0) if args.t0 else None,
+        "t_final": _parse_number(args.tfinal) if args.tfinal else None,
         "startup": args.startup,
         "reference": args.ref,
         "fmt": args.fmt,
         "output": args.out,
-        "seed": args.seed,
     }
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:

@@ -14,12 +14,12 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .integrator import _integer_step_count, run
+from .integrator import _integer_step_count, _startup_divisor, run
 from .models import ModelSpec, build_model, initial_data
 from .oracle import exact_evolve, fine_step_reference
 from .spectral import SpectralField
+from .system import _parse_number
 
 __all__ = [
     "ShapeMismatchError",
@@ -40,19 +40,13 @@ class ShapeMismatchError(ValueError):
     """Two fields that should be comparable have different layouts."""
 
 
-def _parse_number(token) -> float:
-    """Accept plain floats or exact fraction strings such as '1/700'."""
-    if isinstance(token, str):
-        return float(Fraction(token))
-    return float(token)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one convergence study.
 
-    The pipeline itself is deterministic; ``seed`` is recorded so that configs
-    stay self-describing when embedded in randomized drivers.
+    ``startup`` is an :func:`relaxbdf.integrator.run` startup spec: "exact",
+    "ars" or "ars:N".  ``reference`` is "exact" or "fine:DT", whose step must
+    divide the interval.
     """
 
     model: str
@@ -65,7 +59,6 @@ class ExperimentConfig:
     startup: str = "ars:500"
     reference: str = "exact"
     error_norm: str = "grid"
-    seed: int = 0
     output: str | None = None
     fmt: str = "csv"
     overrides: dict = field(default_factory=dict)
@@ -88,8 +81,10 @@ class ExperimentConfig:
             raise ValueError(f"format must be 'csv' or 'md', got {self.fmt!r}")
         if self.error_norm not in ("grid", "continuum"):
             raise ValueError(f"error_norm must be 'grid' or 'continuum', got {self.error_norm!r}")
-        _parse_startup(self.startup)
-        _parse_reference(self.reference)
+        _startup_divisor(self.startup)
+        kind, dt_ref = _parse_reference(self.reference)
+        if kind == "fine":
+            _integer_step_count(span, dt_ref)
 
     @classmethod
     def from_json(cls, text: str | dict, **cli_overrides) -> "ExperimentConfig":
@@ -106,24 +101,10 @@ class ExperimentConfig:
             startup=doc.get("startup", "ars:500"),
             reference=doc.get("reference", "exact"),
             error_norm=doc.get("error_norm", "grid"),
-            seed=int(doc.get("seed", 0)),
             output=doc.get("output"),
             fmt=doc.get("fmt", "csv"),
             overrides=dict(doc.get("overrides", {})),
         )
-
-
-def _parse_startup(spec: str) -> tuple[str, int]:
-    if spec == "exact":
-        return "exact", 0
-    if spec == "ars":
-        return "ars", 500
-    if spec.startswith("ars:"):
-        divisor = int(spec.split(":", 1)[1])
-        if divisor < 1:
-            raise ValueError("startup divisor must be >= 1")
-        return "ars", divisor
-    raise ValueError(f"startup must be 'exact' or 'ars:<divisor>', got {spec!r}")
 
 
 def _parse_reference(spec: str) -> tuple[str, float]:
@@ -154,9 +135,6 @@ class ConvergenceTable:
         for row in self.rows:
             grouped.setdefault(row.epsilon, []).append(row)
         return grouped
-
-    def errors_for(self, epsilon: float) -> list[float]:
-        return [row.l2_error for row in self.rows if row.epsilon == epsilon]
 
 
 def compute_error(u: SpectralField, ref: SpectralField) -> float:
@@ -213,7 +191,6 @@ def run_convergence_study(
         raise ValueError(
             f"modes={config.modes} cannot represent initial data with cutoff {model.data_cutoff}"
         )
-    startup_kind, divisor = _parse_startup(config.startup)
     error_metric = grid_error if config.error_norm == "grid" else compute_error
     max_kappa = 2.0 * math.pi * config.modes / model.domain_length
     if any(dt * max_kappa ** 2 > 1.0 for dt in config.dts):
@@ -240,8 +217,7 @@ def run_convergence_study(
                     dt,
                     config.t_final,
                     t_start=config.t_start,
-                    startup=startup_kind,
-                    startup_divisor=divisor,
+                    startup=config.startup,
                 )
                 error = error_metric(final, reference)
             except Exception:

@@ -14,15 +14,15 @@ then applies the inverse to all modes with one matrix product.
 
 Startup values for q >= 2 come either from the exact per-mode propagator
 ("exact", the default for testing) or from an ARS-type IMEX Runge-Kutta
-integration with a refined substep ("ars", used for table reproduction).  One
-ARS substep is a fixed linear map ``R_k`` on each mode; ``R_k - I`` is built
-once from the stage equations and every substep applies it to all modes with
-one batched matrix product, accumulated with compensated summation.
+integration with N refined substeps per step ("ars:N", or "ars" for N=500,
+used for table reproduction).  One ARS substep is a fixed linear map ``R_k``
+on each mode; ``R_k - I`` is built once from the stage equations and every
+substep applies it to all modes with one batched matrix product, accumulated
+with compensated summation.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,8 +47,6 @@ __all__ = [
     "ars_startup",
     "run",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class UnsupportedOrderError(ValueError):
@@ -329,12 +327,16 @@ def _ars_increment(
     return np.stack(columns, axis=-1)
 
 
+# Substeps per step of the "ars" startup, the protocol of the reference tables.
+_DEFAULT_SUBSTEP_DIVISOR = 500
+
+
 def ars_startup(
     u0: SpectralField,
     system: RelaxationSystem,
     q: int,
     dt: float,
-    substep_divisor: int = 500,
+    substep_divisor: int = _DEFAULT_SUBSTEP_DIVISOR,
 ) -> list[SpectralField]:
     """Produce the q startup fields at t = 0, dt, ..., (q-1) dt.
 
@@ -363,6 +365,24 @@ def ars_startup(
     return fields
 
 
+def _startup_divisor(spec: str) -> int | None:
+    """ARS substep divisor named by a startup spec, or None for "exact".
+
+    The specs are "exact", "ars" (``_DEFAULT_SUBSTEP_DIVISOR`` substeps) and
+    "ars:N" with an integer N >= 1.
+    """
+    if spec == "exact":
+        return None
+    if spec == "ars":
+        return _DEFAULT_SUBSTEP_DIVISOR
+    if spec.startswith("ars:"):
+        divisor = int(spec.split(":", 1)[1])
+        if divisor < 1:
+            raise ValueError("startup divisor must be >= 1")
+        return divisor
+    raise ValueError(f"startup must be 'exact', 'ars' or 'ars:<divisor>', got {spec!r}")
+
+
 def _integer_step_count(span: float, dt: float) -> int:
     steps = span / dt
     rounded = round(steps)
@@ -382,33 +402,29 @@ def run(
     *,
     t_start: float = 0.0,
     startup: str = "exact",
-    startup_divisor: int = 500,
 ) -> SpectralField:
     """Integrate from ``t_start`` to ``t_final`` and return the final field.
 
     ``startup`` selects how the first q-1 values are produced: "exact" uses
-    the closed-form per-mode propagator, "ars" the refined IMEX-RK sweep.
-    Bit-for-bit deterministic for identical inputs.
+    the closed-form per-mode propagator, "ars" or "ars:N" the refined IMEX-RK
+    sweep with N substeps per step.  Bit-for-bit deterministic for identical
+    inputs.
     """
     if u0.n != system.dimension:
         raise ValueError("initial field does not match the system dimension")
+    divisor = _startup_divisor(startup)
     coeffs = bdf_coefficients(q)
     total = _integer_step_count(t_final - t_start, dt)
     if total < q - 1:
         raise NonIntegerStepCountError(
             f"{total} steps cannot accommodate an order-{q} history"
         )
-    if dt * (2.0 * np.pi / system.domain_length * u0.cutoff) ** 2 > 1.0:
-        # Sufficient-only stability threshold; table runs routinely exceed it.
-        logger.info("dt exceeds 1/N^2; the parabolic-type CFL bound is not enforced")
-    if startup == "exact":
+    if divisor is None:
         from .oracle import exact_evolve
 
         history = [u0 if i == 0 else exact_evolve(u0, system, i * dt) for i in range(q)]
-    elif startup == "ars":
-        history = ars_startup(u0, system, q, dt, substep_divisor=startup_divisor)
     else:
-        raise ValueError(f"startup must be 'exact' or 'ars', got {startup!r}")
+        history = ars_startup(u0, system, q, dt, substep_divisor=divisor)
     if total == q - 1:
         return history[-1]
     state = make_solver_state(history, system, coeffs, dt)

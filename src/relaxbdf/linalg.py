@@ -3,9 +3,12 @@
 Everything downstream (implicit solves, stability certificates, per-mode
 propagators) works with constant matrices of size n <= ~16, so this module
 implements the few factorizations it needs directly instead of pulling in a
-LAPACK wrapper: partial-pivoting LU, a pivoted Cholesky probe, a cyclic
-Jacobi eigensolver and a scaling-and-squaring matrix exponential.  All
-routines are deterministic and operate on plain ``numpy`` arrays.
+LAPACK wrapper: partial-pivoting LU, a pivoted Cholesky probe and a
+scaling-and-squaring matrix exponential.  The LU stays hand-written because
+the exponential solves in long double on deep squaring chains, a dtype
+``numpy.linalg`` rejects.  Symmetric eigenproblems go to
+``numpy.linalg.eigh``.  All routines are deterministic and operate on plain
+``numpy`` arrays.
 """
 
 from __future__ import annotations
@@ -23,12 +26,10 @@ __all__ = [
     "LUFactorization",
     "validate_matrix",
     "lu_factor",
-    "lu_solve",
     "inverse",
     "matrix_exponential",
     "is_spd",
     "is_negative_semidefinite",
-    "jacobi_eigh",
 ]
 
 # Pivots smaller than this (relative to the largest input entry) are treated
@@ -73,28 +74,15 @@ class LUFactorization:
 
     ``packed`` holds the unit-lower factor strictly below the diagonal and the
     upper factor on and above it; ``row_order`` is the permutation ``p`` such
-    that ``A[p] = L @ U``; ``sign`` is the parity of that permutation.
+    that ``A[p] = L @ U``.
     """
 
     packed: np.ndarray
     row_order: np.ndarray
-    sign: int
 
     @property
     def size(self) -> int:
         return self.packed.shape[0]
-
-    def lower(self) -> np.ndarray:
-        ident = np.eye(self.size, dtype=self.packed.dtype)
-        return np.tril(self.packed, -1) + ident
-
-    def upper(self) -> np.ndarray:
-        return np.triu(self.packed)
-
-    def permutation_matrix(self) -> np.ndarray:
-        perm = np.zeros((self.size, self.size))
-        perm[np.arange(self.size), self.row_order] = 1.0
-        return perm
 
     def solve(self, rhs) -> np.ndarray:
         """Solve ``A x = rhs`` for one right-hand side or a matrix of them."""
@@ -122,7 +110,6 @@ def lu_factor(matrix) -> LUFactorization:
     n = a.shape[0]
     threshold = PIVOT_RTOL * max(np.abs(a).max(), np.finfo(float).tiny)
     order = np.arange(n)
-    sign = 1
     for col in range(n):
         pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
         if abs(a[pivot_row, col]) <= threshold:
@@ -132,15 +119,9 @@ def lu_factor(matrix) -> LUFactorization:
         if pivot_row != col:
             a[[col, pivot_row]] = a[[pivot_row, col]]
             order[[col, pivot_row]] = order[[pivot_row, col]]
-            sign = -sign
         a[col + 1:, col] /= a[col, col]
         a[col + 1:, col + 1:] -= np.outer(a[col + 1:, col], a[col, col + 1:])
-    return LUFactorization(packed=a, row_order=order, sign=sign)
-
-
-def lu_solve(matrix, rhs) -> np.ndarray:
-    """Solve a dense square system ``matrix @ x = rhs``."""
-    return lu_factor(matrix).solve(rhs)
+    return LUFactorization(packed=a, row_order=order)
 
 
 def inverse(matrix) -> np.ndarray:
@@ -272,50 +253,8 @@ def is_spd(matrix, tol: float = 1e-10) -> DefinitenessReport:
     return DefinitenessReport(True, "symmetric positive-definite")
 
 
-def jacobi_eigh(matrix, *, off_tol: float = 1e-13, max_sweeps: int = 60):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, V)`` with eigenvalues ascending and ``V[:, i]`` the matching
-    orthonormal eigenvectors.  Sweeps stop once the off-diagonal Frobenius
-    norm falls below ``off_tol`` relative to the matrix scale.
-    """
-    a = validate_matrix(matrix, name="jacobi_eigh input")
-    if a.dtype.kind == "c":
-        a = a.real.copy()
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    scale = max(float(np.sqrt((a * a).sum())), np.finfo(float).tiny)
-    for _ in range(max_sweeps):
-        off_diagonal = a - np.diag(np.diag(a))
-        off = math.sqrt(float((off_diagonal * off_diagonal).sum()))
-        if off <= off_tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-3 * off_tol * scale / max(n, 1):
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * vecs[:, p] - s * vecs[:, q]
-                rot_q = s * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p], vecs[:, q] = rot_p, rot_q
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], vecs[:, order]
-
-
 def is_negative_semidefinite(matrix, tol: float = 1e-10) -> DefinitenessReport:
-    """Check ``matrix <= 0`` (as a quadratic form) via Jacobi eigenvalues.
+    """Check ``matrix <= 0`` (as a quadratic form) via its largest eigenvalue.
 
     Raises ``NotSymmetricError`` when the symmetry residual exceeds ``tol``.
     """
@@ -325,8 +264,7 @@ def is_negative_semidefinite(matrix, tol: float = 1e-10) -> DefinitenessReport:
     residual = symmetry_residual(a)
     if residual > tol:
         raise NotSymmetricError(f"asymmetry {residual:.3e} exceeds tol {tol:.3e}")
-    eigenvalues, _ = jacobi_eigh(a)
-    largest = float(eigenvalues[-1])
+    largest = float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
     if largest <= tol:
         return DefinitenessReport(True, f"max eigenvalue {largest:.3e}", value=largest)
     return DefinitenessReport(False, f"max eigenvalue {largest:.3e} exceeds tol", value=largest)

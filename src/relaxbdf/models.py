@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -52,7 +52,12 @@ class InvalidParameterError(ValueError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A concrete model: normal-form system plus provenance of the transform."""
+    """A concrete model: normal-form system plus provenance of the transform.
+
+    ``profile(model, q, cutoff, epsilon)`` returns the raw-variable initial
+    coefficients, shape (2*cutoff+1, n), well prepared for order q; it raises
+    ``UnsupportedOrderError`` for orders it does not define.
+    """
 
     name: str
     parameters: Mapping[str, float]
@@ -64,6 +69,7 @@ class ModelSpec:
     transform: np.ndarray
     raw_witness: StabilityWitness | None
     data_cutoff: int  # largest mode carried by the initial profiles
+    profile: Callable[["ModelSpec", int, int, float], np.ndarray]
 
     def system_at(self, epsilon: float) -> RelaxationSystem:
         return self.system.with_epsilon(epsilon)
@@ -138,6 +144,7 @@ def make_arz(
         transform=transform,
         raw_witness=raw_witness,
         data_cutoff=1,
+        profile=_arz_profile,
     )
 
 
@@ -186,6 +193,7 @@ def make_broadwell(epsilon: float = 1.0) -> ModelSpec:
         transform=transform,
         raw_witness=None,
         data_cutoff=4,
+        profile=_broadwell_profile,
     )
 
 
@@ -223,6 +231,7 @@ def make_grad(moments: int = 5, epsilon: float = 1.0) -> ModelSpec:
         transform=np.eye(n),
         raw_witness=witness,
         data_cutoff=2,
+        profile=_grad_profile,
     )
 
 
@@ -245,6 +254,8 @@ def build_model(name: str, epsilon: float = 1.0, **overrides) -> ModelSpec:
 
 
 def _arz_profile(model: ModelSpec, q: int, cutoff: int, epsilon: float) -> np.ndarray:
+    if q not in (2, 3, 4):
+        raise UnsupportedOrderError(f"arz data is defined for orders 2..4, got {q}")
     base = project(lambda x: [math.sin(2.0 * math.pi * x) + 1.1], 1, cutoff, 1.0)
     rho = base.coeffs[:, 0]
     ikappa = 1j * base.wavenumbers
@@ -257,6 +268,8 @@ def _arz_profile(model: ModelSpec, q: int, cutoff: int, epsilon: float) -> np.nd
 
 
 def _broadwell_profile(model: ModelSpec, q: int, cutoff: int, epsilon: float) -> np.ndarray:
+    if q not in (2, 3, 4):
+        raise UnsupportedOrderError(f"broadwell data is defined for orders 2..4, got {q}")
     a_rho = model.parameters["a_rho"]
     a_u = model.parameters["a_u"]
 
@@ -278,6 +291,8 @@ def _broadwell_profile(model: ModelSpec, q: int, cutoff: int, epsilon: float) ->
 
 
 def _grad_profile(model: ModelSpec, q: int, cutoff: int, epsilon: float) -> np.ndarray:
+    if q < 1:
+        raise UnsupportedOrderError(f"order must be >= 1, got {q}")
     n = model.system.dimension
 
     def sampler(x: float):
@@ -306,22 +321,7 @@ def initial_data(model: ModelSpec, q: int, cutoff: int, epsilon: float) -> Spect
         )
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if model.name == "grad":
-        if q < 1:
-            raise UnsupportedOrderError(f"order must be >= 1, got {q}")
-        raw = _grad_profile(model, q, model.data_cutoff, epsilon)
-    elif model.name == "arz":
-        if q not in (2, 3, 4):
-            raise UnsupportedOrderError(f"arz data is defined for orders 2..4, got {q}")
-        raw = _arz_profile(model, q, model.data_cutoff, epsilon)
-    elif model.name == "broadwell":
-        if q not in (2, 3, 4):
-            raise UnsupportedOrderError(
-                f"broadwell data is defined for orders 2..4, got {q}"
-            )
-        raw = _broadwell_profile(model, q, model.data_cutoff, epsilon)
-    else:
-        raise InvalidParameterError(f"unknown model {model.name!r}")
+    raw = model.profile(model, q, model.data_cutoff, epsilon)
     transformed = raw @ np.asarray(model.transform).T
     padded = np.zeros((2 * cutoff + 1, transformed.shape[1]), dtype=complex)
     pad = cutoff - model.data_cutoff

@@ -161,13 +161,6 @@ class SpectralField:
     def __neg__(self):
         return self * (-1.0)
 
-    def with_coeffs(self, coeffs, real_valued: bool | None = None) -> "SpectralField":
-        return SpectralField(
-            coeffs,
-            self.domain_length,
-            self.real_valued if real_valued is None else real_valued,
-        )
-
 
 def zero_field(n: int, cutoff: int, domain_length: float) -> SpectralField:
     return SpectralField(np.zeros((2 * cutoff + 1, n), dtype=complex), domain_length)

@@ -20,7 +20,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .linalg import (
     inverse,
     is_negative_semidefinite,
     is_spd,
-    jacobi_eigh,
     lu_factor,
     symmetry_residual,
     validate_matrix,
@@ -325,8 +324,7 @@ def check_structural_stability(system, witness: StabilityWitness, tol: float = 1
     product = normal_symmetrizer[bulk:, bulk:] @ stiff_block
     product_sym = symmetry_residual(product)
     if product_sym <= max(tol, 1e-10):
-        eigenvalues, _ = jacobi_eigh(0.5 * (product + product.T))
-        largest = float(eigenvalues[-1])
+        largest = float(np.linalg.eigvalsh(0.5 * (product + product.T))[-1])
         stiff_coupling = ConditionCheck(
             passed=largest <= -tol,
             residual=largest,
@@ -346,25 +344,12 @@ def check_structural_stability(system, witness: StabilityWitness, tol: float = 1
     )
 
 
-class TransformedSystem(tuple):
+class TransformedSystem(NamedTuple):
     """Named triple ``(convection, source, stiff_size)`` in normal form."""
 
-    __slots__ = ()
-
-    def __new__(cls, convection, source, stiff_size):
-        return super().__new__(cls, (convection, source, stiff_size))
-
-    @property
-    def convection(self):
-        return self[0]
-
-    @property
-    def source(self):
-        return self[1]
-
-    @property
-    def stiff_size(self):
-        return self[2]
+    convection: np.ndarray
+    source: np.ndarray
+    stiff_size: int
 
 
 def _infer_stiff_size(source: np.ndarray, tol: float) -> int:
@@ -432,8 +417,8 @@ def find_transform(source, tol: float = 1e-10) -> np.ndarray:
     n = src.shape[0]
     left_gram = src @ src.T
     right_gram = src.T @ src
-    w_left, v_left = jacobi_eigh(left_gram)
-    w_right, v_right = jacobi_eigh(right_gram)
+    w_left, v_left = np.linalg.eigh(0.5 * (left_gram + left_gram.T))
+    w_right, v_right = np.linalg.eigh(0.5 * (right_gram + right_gram.T))
     scale = max(float(w_right[-1]), np.finfo(float).tiny)
     null_rows = [v_left[:, i] for i in range(n) if w_left[i] <= tol * scale]
     range_rows = [v_right[:, i] for i in range(n) if w_right[i] > tol * scale]
@@ -488,7 +473,7 @@ def _symmetrizer_solution_space(system: RelaxationSystem, tol: float = 1e-10) ->
         null_vectors = [np.eye(len(basis))[:, i] for i in range(len(basis))]
     else:
         gram = constraint.T @ constraint
-        eigenvalues, vectors = jacobi_eigh(gram)
+        eigenvalues, vectors = np.linalg.eigh(0.5 * (gram + gram.T))
         cutoff = tol * max(float(eigenvalues[-1]), 1.0)
         null_vectors = [vectors[:, i] for i in range(len(basis)) if eigenvalues[i] <= cutoff]
     space = []
@@ -625,7 +610,8 @@ def _golden_refine(system, space, combo, tol, evaluate):
 # -- JSON interchange ---------------------------------------------------------
 
 
-def _parse_entry(value) -> float:
+def _parse_number(value) -> float:
+    """Accept plain numbers or exact decimal/fraction strings such as '1/700'."""
     if isinstance(value, str):
         return float(Fraction(value))
     return float(value)
@@ -635,7 +621,7 @@ def _parse_matrix(doc, n: int, name: str) -> np.ndarray:
     flat = np.asarray(doc, dtype=object).ravel()
     if flat.size != n * n:
         raise ValueError(f"{name} must have {n * n} entries, got {flat.size}")
-    return np.array([_parse_entry(v) for v in flat], dtype=float).reshape(n, n)
+    return np.array([_parse_number(v) for v in flat], dtype=float).reshape(n, n)
 
 
 def system_to_json(system: RelaxationSystem, witness: StabilityWitness | None = None) -> str:
@@ -662,8 +648,8 @@ def system_from_json(text: str | Mapping) -> tuple[RelaxationSystem, StabilityWi
         convection=_parse_matrix(doc["A"], n, "A"),
         source=_parse_matrix(doc["Q"], n, "Q"),
         stiff_size=int(doc["r"]),
-        epsilon=_parse_entry(doc["epsilon"]),
-        domain_length=_parse_entry(doc["domain_length"]),
+        epsilon=_parse_number(doc["epsilon"]),
+        domain_length=_parse_number(doc["domain_length"]),
     )
     witness = None
     if "witness" in doc and doc["witness"] is not None:

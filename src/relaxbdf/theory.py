@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrator import BDFCoefficients, UnsupportedOrderError, bdf_coefficients
-from .linalg import is_spd, jacobi_eigh
+from .linalg import is_spd
 from .spectral import SpectralField, field_inner_product
 from .system import RelaxationSystem, StabilityWitness
 
@@ -63,10 +63,8 @@ class MultiplierData:
             raise ValueError("damping coefficient must be positive")
         if not is_spd(g, 1e-12):
             raise ValueError("energy form must be positive definite")
-        if a.size:
-            eigenvalues, _ = jacobi_eigh(a)
-            if eigenvalues[0] < -1e-12:
-                raise ValueError("history form must be positive semidefinite")
+        if a.size and np.linalg.eigvalsh(0.5 * (a + a.T))[0] < -1e-12:
+            raise ValueError("history form must be positive semidefinite")
         for name, value in (("energy_form", g), ("history_form", a)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -155,7 +153,7 @@ def _identity_residuals(
 def _random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random SPD matrix with eigenvalues in [0.1, 10] (condition <= 100)."""
     seed_matrix = rng.standard_normal((dim, dim))
-    _, vectors = jacobi_eigh(seed_matrix + seed_matrix.T)
+    _, vectors = np.linalg.eigh(seed_matrix + seed_matrix.T)
     eigenvalues = rng.uniform(0.1, 10.0, size=dim)
     return vectors @ np.diag(eigenvalues) @ vectors.T
 
@@ -208,11 +206,9 @@ def discrete_energy(
     symmetrizer = np.asarray(witness.symmetrizer)
     if form not in ("auto", "full", "surrogate"):
         raise ValueError(f"unknown form {form!r}")
-    if form != "surrogate" and q > 2:
-        if form == "full":
-            raise UnsupportedOrderError("full multiplier energy is available for q <= 2")
-        form = "surrogate"
-    if form == "surrogate" or (form == "auto" and q > 2):
+    if form == "full" and q > 2:
+        raise UnsupportedOrderError("full multiplier energy is available for q <= 2")
+    if form == "surrogate" or q > 2:
         return sum(field_inner_product(u, u, symmetrizer) for u in history)
 
     data = multiplier_data(q)

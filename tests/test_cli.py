@@ -1,6 +1,7 @@
 import json
 
-from relaxbdf.cli import main
+from relaxbdf.cli import _build_parser, main
+from relaxbdf.models import MODEL_BUILDERS, make_grad
 
 
 class TestCheckStability:
@@ -12,6 +13,14 @@ class TestCheckStability:
 
     def test_broadwell_needs_looser_tolerance_than_zero(self):
         assert main(["check-stability", "--model", "broadwell", "--tol", "1e-8"]) == 0
+
+
+def test_model_choices_follow_the_registry(monkeypatch):
+    monkeypatch.setitem(MODEL_BUILDERS, "grad3", lambda epsilon=1.0: make_grad(3, epsilon))
+    parser = _build_parser()
+    for name in MODEL_BUILDERS:
+        assert parser.parse_args(["run", "--model", name]).model == name
+        assert parser.parse_args(["check-stability", "--model", name]).model == name
 
 
 class TestVerifyTheory:
@@ -74,6 +83,26 @@ class TestRun:
                 "run",
                 "--model", "grad",
                 "--order", "2",
+                # The exact reference needs ~1000 squarings (cap 64), so
+                # every cell fails at run time.
+                "--eps", "1e-300",
+                "--dt", "1/20",
+                "--modes", "8",
+                "--tfinal", "1",
+                "--startup", "exact",
+                "--ref", "exact",
+                "--out", str(tmp_path / "t.csv"),
+            ]
+        )
+        assert code == 2
+        assert "ERROR" in (tmp_path / "t.csv").read_text()
+
+    def test_non_dividing_fine_reference_is_usage_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "run",
+                "--model", "grad",
+                "--order", "2",
                 "--eps", "1",
                 "--dt", "1/20",
                 "--modes", "8",
@@ -83,4 +112,6 @@ class TestRun:
                 "--out", str(tmp_path / "t.csv"),
             ]
         )
-        assert code == 2
+        assert code == 1
+        assert "not an integer multiple of dt 0.00021" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()

@@ -16,6 +16,7 @@ from relaxbdf.harness import (
     parse_table_csv,
     run_convergence_study,
 )
+from relaxbdf.integrator import NonIntegerStepCountError
 from relaxbdf.spectral import SpectralField, zero_field
 
 
@@ -74,9 +75,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(startup="rk4")
 
+    @pytest.mark.parametrize("spec", ["ars:0", "rk"])
+    def test_bad_startup_spec(self, spec):
+        with pytest.raises(ValueError):
+            small_config(startup=spec)
+
     def test_bad_reference(self):
         with pytest.raises(ValueError):
             small_config(reference="finer")
+
+    def test_fine_reference_step_must_divide_interval(self):
+        with pytest.raises(NonIntegerStepCountError, match="dt 0.3"):
+            ExperimentConfig(
+                model="arz", order=2, epsilons=(1.0,), dts=(0.1, 0.05), t_final=1.0,
+                modes=8, startup="exact", reference="fine:0.3",
+            )
+
+    def test_stored_seed_key_still_loads(self):
+        doc = {"model": "grad", "order": 2, "epsilons": [1.0], "dts": ["1/20"],
+               "t_final": 1, "seed": 7}
+        config = ExperimentConfig.from_json(doc)
+        assert not hasattr(config, "seed")
 
     def test_bad_norm(self):
         with pytest.raises(ValueError):
@@ -126,8 +145,9 @@ class TestStudy:
         assert first == second
 
     def test_failed_reference_marks_cells(self):
-        # dt_ref does not divide the interval: the whole block is marked.
-        config = small_config(reference="fine:0.00021")
+        # The exact reference needs ~1000 squarings (cap 64) and fails at run
+        # time: the whole block is marked.
+        config = small_config(epsilons=(1e-300,))
         table = run_convergence_study(config)
         assert all(row.l2_error is None for row in table.rows)
         text = emit_table(table, "csv")

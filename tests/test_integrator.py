@@ -278,7 +278,7 @@ class TestArsStartup:
         conserved = u0.mode(0)[:bulk].copy()
         for field in ars_startup(u0, system, q, 1e-2, substep_divisor=50):
             assert np.array_equal(field.mode(0)[:bulk], conserved)
-        final = run(u0, system, q, 1e-2, 0.5, startup="ars", startup_divisor=50)
+        final = run(u0, system, q, 1e-2, 0.5, startup="ars:50")
         assert np.array_equal(final.mode(0)[:bulk], conserved)
 
     def test_tableau_row_sums_consistent(self):
@@ -309,8 +309,8 @@ class TestRun:
         model = build_model("broadwell")
         system = model.system_at(1e-5)
         u0 = initial_data(model, 3, 16, 1e-5)
-        first = run(u0, system, 3, 1e-2, 1.0, startup="ars", startup_divisor=50)
-        second = run(u0, system, 3, 1e-2, 1.0, startup="ars", startup_divisor=50)
+        first = run(u0, system, 3, 1e-2, 1.0, startup="ars:50")
+        second = run(u0, system, 3, 1e-2, 1.0, startup="ars:50")
         assert np.array_equal(first.coeffs, second.coeffs)
 
     def test_non_integer_step_count_rejected(self):
@@ -326,6 +326,36 @@ class TestRun:
         u0 = initial_data(model, 2, 4, 1.0)
         with pytest.raises(ValueError):
             run(u0, system, 2, 0.25, 1.0, startup="cold")
+
+    @pytest.mark.parametrize("spec", ["ars:0", "rk"])
+    def test_bad_startup_spec_rejected(self, spec):
+        model = build_model("arz")
+        system = model.system_at(1.0)
+        u0 = initial_data(model, 2, 4, 1.0)
+        with pytest.raises(ValueError):
+            run(u0, system, 2, 0.25, 1.0, startup=spec)
+
+    def test_ars_spec_divisor_matches_manual_stepping(self):
+        model = build_model("broadwell")
+        system = model.system_at(1e-3)
+        q, dt = 4, 1 / 40
+        u0 = initial_data(model, q, 8, 1e-3)
+        final = run(u0, system, q, dt, 0.5, startup="ars:7")
+        coeffs = bdf_coefficients(q)
+        state = make_solver_state(
+            ars_startup(u0, system, q, dt, substep_divisor=7), system, coeffs, dt
+        )
+        for _ in range(20 - (q - 1)):
+            expected = imex_bdf_step(state, system, coeffs)
+        assert np.array_equal(final.coeffs, expected.coeffs)
+
+    def test_bare_ars_spec_means_500_substeps(self):
+        model = build_model("arz")
+        system = model.system_at(1e-2)
+        u0 = initial_data(model, 3, 8, 1e-2)
+        bare = run(u0, system, 3, 0.25, 1.0, startup="ars")
+        explicit = run(u0, system, 3, 0.25, 1.0, startup="ars:500")
+        assert np.array_equal(bare.coeffs, explicit.coeffs)
 
     def test_nonzero_start_time(self):
         system = scalar_decay_system()

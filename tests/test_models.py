@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,6 +215,13 @@ class TestInitialData:
                 initial_data(model, q, 8, 1.0)
         with pytest.raises(UnsupportedOrderError):
             initial_data(make_broadwell(), 1, 8, 1.0)
+
+    def test_profile_comes_from_the_spec_not_the_name(self):
+        model = build_model("grad")
+        renamed = replace(model, name="custom")
+        np.testing.assert_array_equal(
+            initial_data(renamed, 2, 8, 1.0).coeffs, initial_data(model, 2, 8, 1.0).coeffs
+        )
 
     def test_cutoff_too_small_rejected(self):
         with pytest.raises(ValueError):

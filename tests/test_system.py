@@ -80,6 +80,12 @@ class TestTransform:
         np.testing.assert_allclose(moved.source, np.diag([0.0, 0.0, -2.0]), atol=1e-12)
         assert moved.stiff_size == 1
 
+    def test_broadwell_transform_pinned(self):
+        # Its rows define the Broadwell normal-form variables, in which every
+        # Broadwell table cell is measured.
+        expected = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5, 0.0, 1.0]])
+        np.testing.assert_array_equal(find_transform(BROADWELL_SOURCE), expected)
+
     def test_nilpotent_source_rejected(self):
         nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NotNormalFormError):
@@ -203,6 +209,7 @@ class TestSymmetrizerSearch:
         )
         witness = find_symmetrizer(system)
         assert check_structural_stability(system, witness, 1e-8).passed
+        np.testing.assert_array_equal(witness.symmetrizer, np.diag([1.0, 2.0, 4.0]))
 
     def test_two_dimensional_solution_space(self):
         # Diagonal convection admits every diagonal symmetrizer; the search
@@ -269,3 +276,12 @@ class TestJsonInterchange:
         }
         system, _ = system_from_json(doc)
         assert system.convection[0, 1] == 1.0
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_json_numbers_rejected(self, token):
+        text = (
+            '{"n": 2, "r": 1, "epsilon": 1.0, "domain_length": 1.0,'
+            f' "A": [{token}, 1.0, 0.5, 0.0], "Q": [0.0, 0.0, 0.0, -1.0]}}'
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            system_from_json(text)
