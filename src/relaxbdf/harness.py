@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .integrator import _integer_step_count, _startup_divisor, run
+from .integrator import _integer_step_count, _startup_divisor, bdf_coefficients, run
 from .models import ModelSpec, build_model, initial_data
 from .oracle import exact_evolve, fine_step_reference
 from .spectral import SpectralField
@@ -46,7 +46,7 @@ class ExperimentConfig:
 
     ``startup`` is an :func:`relaxbdf.integrator.run` startup spec: "exact",
     "ars" or "ars:N".  ``reference`` is "exact" or "fine:DT", whose step must
-    divide the interval.
+    divide the interval.  ``order`` must be a BDF order, 1..4.
     """
 
     model: str
@@ -75,6 +75,7 @@ class ExperimentConfig:
         span = self.t_final - self.t_start
         if span <= 0.0:
             raise ValueError("t_final must exceed t_start")
+        bdf_coefficients(self.order)
         for dt in self.dts:
             _integer_step_count(span, dt)
         if self.fmt not in ("csv", "md"):
@@ -182,8 +183,9 @@ def run_convergence_study(
     """Run the full (epsilon, dt) grid of a study and assemble the table.
 
     Cells are independent; a failing cell is recorded with an error marker and
-    the remaining cells still run.  Output is deterministic for identical
-    configs.
+    the remaining cells still run.  An order the model's initial data does
+    not define raises ``UnsupportedOrderError`` before the first block.
+    Output is deterministic for identical configs.
     """
     if model is None:
         model = build_model(config.model, **config.overrides)
@@ -191,6 +193,8 @@ def run_convergence_study(
         raise ValueError(
             f"modes={config.modes} cannot represent initial data with cutoff {model.data_cutoff}"
         )
+    # An order the initial data does not define would fail every block alike.
+    model.profile(model, config.order, model.data_cutoff, config.epsilons[0])
     error_metric = grid_error if config.error_norm == "grid" else compute_error
     max_kappa = 2.0 * math.pi * config.modes / model.domain_length
     if any(dt * max_kappa ** 2 > 1.0 for dt in config.dts):

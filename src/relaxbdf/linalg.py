@@ -9,6 +9,11 @@ the exponential solves in long double on deep squaring chains, a dtype
 ``numpy.linalg`` rejects.  Symmetric eigenproblems go to
 ``numpy.linalg.eigh``.  All routines are deterministic and operate on plain
 ``numpy`` arrays.
+
+The LU and the exponential also take a stack of matrices ``(K, n, n)``, a
+single matrix being a stack of one, and treat every slice exactly as they
+would treat it alone: the per-mode oracle exponentiates a block of modes in
+one call.
 """
 
 from __future__ import annotations
@@ -49,19 +54,27 @@ class NotSymmetricError(ValueError):
 
 
 class ExponentialOverflowError(OverflowError):
-    """The matrix exponential left the representable floating-point range."""
+    """The matrix exponential left the representable floating-point range.
+
+    ``index`` is the position of the failing matrix in a stacked input.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 def validate_matrix(entries, *, square: bool = True, name: str = "matrix") -> np.ndarray:
-    """Coerce ``entries`` to a 2-D float/complex array and reject non-finite data."""
+    """Coerce ``entries`` to a float/complex matrix ``(m, n)`` or stack of
+    matrices ``(K, m, n)`` and reject non-finite data."""
     arr = np.array(entries, copy=True)
     if arr.dtype.kind in "iub":
         arr = arr.astype(float)
     if arr.dtype.kind not in "fc":
         raise TypeError(f"{name} must be numeric, got dtype {arr.dtype}")
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
-    if square and arr.shape[0] != arr.shape[1]:
+    if arr.ndim not in (2, 3) or min(arr.shape) < 1:
+        raise ValueError(f"{name} must be a 2-D matrix or a stack of them, got shape {arr.shape}")
+    if square and arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -70,11 +83,13 @@ def validate_matrix(entries, *, square: bool = True, name: str = "matrix") -> np
 
 @dataclass(frozen=True)
 class LUFactorization:
-    """Packed LU factors of a row-permuted square matrix.
+    """Packed LU factors of a row-permuted square matrix, or of each matrix of
+    a stack.
 
     ``packed`` holds the unit-lower factor strictly below the diagonal and the
     upper factor on and above it; ``row_order`` is the permutation ``p`` such
-    that ``A[p] = L @ U``.
+    that ``A[p] = L @ U``.  A stack ``(K, n, n)`` keeps its leading axis in
+    both.
     """
 
     packed: np.ndarray
@@ -82,45 +97,74 @@ class LUFactorization:
 
     @property
     def size(self) -> int:
-        return self.packed.shape[0]
+        return self.packed.shape[-1]
 
     def solve(self, rhs) -> np.ndarray:
-        """Solve ``A x = rhs`` for one right-hand side or a matrix of them."""
+        """Solve ``A x = rhs`` for one right-hand side or a matrix of them.
+
+        A stacked factorization takes a stack of either, ``(K, n)`` or
+        ``(K, n, m)``, and solves each slice with its own factors.
+        """
+        stacked = self.packed.ndim == 3
+        lu = self.packed if stacked else self.packed[np.newaxis]
+        order = self.row_order if stacked else self.row_order[np.newaxis]
         b = np.asarray(rhs)
-        vector_input = b.ndim == 1
+        if not stacked:
+            b = b[np.newaxis]
+        vector_input = b.ndim == 2
         if vector_input:
-            b = b[:, np.newaxis]
-        if b.shape[0] != self.size:
-            raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.size}")
-        lu = self.packed
+            b = b[..., np.newaxis]
+        if b.ndim != 3 or b.shape[:2] != order.shape:
+            raise ValueError(
+                f"rhs of shape {np.shape(rhs)} does not match factors of shape {self.packed.shape}"
+            )
         dtype = np.result_type(lu.dtype, b.dtype)
-        x = b[self.row_order].astype(dtype)
-        for i in range(1, self.size):
-            x[i] -= lu[i, :i] @ x[:i]
-        for i in range(self.size - 1, -1, -1):
-            if i < self.size - 1:
-                x[i] -= lu[i, i + 1:] @ x[i + 1:]
-            x[i] /= lu[i, i]
-        return x[:, 0] if vector_input else x
+        x = np.take_along_axis(b, order[..., np.newaxis], axis=1).astype(dtype)
+        n = self.size
+        for i in range(1, n):
+            x[:, i] -= (lu[:, i, np.newaxis, :i] @ x[:, :i])[:, 0]
+        for i in range(n - 1, -1, -1):
+            if i < n - 1:
+                x[:, i] -= (lu[:, i, np.newaxis, i + 1:] @ x[:, i + 1:])[:, 0]
+            x[:, i] /= lu[:, i, i, np.newaxis]
+        if vector_input:
+            x = x[..., 0]
+        return x if stacked else x[0]
 
 
 def lu_factor(matrix) -> LUFactorization:
-    """Partial-pivoting LU factorization; raises ``SingularMatrixError``."""
+    """Partial-pivoting LU factorization of a matrix or of each matrix of a
+    stack; raises ``SingularMatrixError``.
+
+    Each slice pivots on its own columns and is singular below its own
+    threshold, ``PIVOT_RTOL`` times its largest entry.
+    """
     a = validate_matrix(matrix, name="lu_factor input")
-    n = a.shape[0]
-    threshold = PIVOT_RTOL * max(np.abs(a).max(), np.finfo(float).tiny)
-    order = np.arange(n)
+    stacked = a.ndim == 3
+    if not stacked:
+        a = a[np.newaxis]
+    count, n = a.shape[0], a.shape[-1]
+    slices = np.arange(count)
+    thresholds = PIVOT_RTOL * np.maximum(np.abs(a).max(axis=(1, 2)), np.finfo(float).tiny)
+    order = np.tile(np.arange(n), (count, 1))
     for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) <= threshold:
+        pivot_rows = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        pivots = np.abs(a[slices, pivot_rows, col])
+        singular = np.flatnonzero(pivots <= thresholds)
+        if singular.size:
+            j = singular[0]
+            where = f" in slice {j}" if stacked else ""
             raise SingularMatrixError(
-                f"pivot {abs(a[pivot_row, col]):.3e} in column {col} below threshold {threshold:.3e}"
+                f"pivot {pivots[j]:.3e} in column {col} below threshold {thresholds[j]:.3e}{where}"
             )
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            order[[col, pivot_row]] = order[[pivot_row, col]]
-        a[col + 1:, col] /= a[col, col]
-        a[col + 1:, col + 1:] -= np.outer(a[col + 1:, col], a[col, col + 1:])
+        for rows in (a, order):
+            pivot_row = rows[slices, pivot_rows].copy()
+            rows[slices, pivot_rows] = rows[:, col]
+            rows[:, col] = pivot_row
+        a[:, col + 1:, col] /= a[:, col, col, np.newaxis]
+        a[:, col + 1:, col + 1:] -= a[:, col + 1:, col, np.newaxis] * a[:, col, np.newaxis, col + 1:]
+    if not stacked:
+        return LUFactorization(packed=a[0], row_order=order[0])
     return LUFactorization(packed=a, row_order=order)
 
 
@@ -151,7 +195,7 @@ _PADE13 = (
 
 def _pade13(a: np.ndarray) -> np.ndarray:
     b = _PADE13
-    ident = np.eye(a.shape[0], dtype=a.dtype)
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -180,31 +224,51 @@ def matrix_exponential(matrix, t: float = 1.0) -> np.ndarray:
     floor below the accuracy of the solutions compared against this oracle.
     Squaring depth is capped at ``MAX_SQUARINGS`` and non-finite intermediates
     raise ``ExponentialOverflowError``.
+
+    ``matrix`` may be a stack ``(K, n, n)``; a single matrix is a stack of
+    one.  Each slice gets its own depth and precision, and the slices that
+    share a depth run through the Pade kernel and the squarings together, so
+    every slice sees exactly the arithmetic it would see alone.  An error
+    names the failing slice in its ``index``.
     """
     a = validate_matrix(matrix, name="matrix_exponential input")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    scaled = t * a
-    norm1 = float(np.abs(scaled).sum(axis=0).max()) if scaled.size else 0.0
-    if norm1 == 0.0:
-        return np.eye(a.shape[0], dtype=a.dtype)
-    squarings = max(0, math.ceil(math.log2(norm1)))
-    if squarings > MAX_SQUARINGS:
-        raise ExponentialOverflowError(
-            f"|t*matrix|_1 = {norm1:.3e} needs {squarings} squarings (cap {MAX_SQUARINGS})"
-        )
-    work_dtype = None
-    if squarings > _EXTENDED_PRECISION_DEPTH and _LONGDOUBLE_HELPS:
-        work_dtype = np.clongdouble if scaled.dtype.kind == "c" else np.longdouble
-        scaled = scaled.astype(work_dtype)
-    result = _pade13(scaled / 2.0 ** squarings)
-    for _ in range(squarings):
-        result = result @ result
-    if work_dtype is not None:
-        result = result.astype(complex if result.dtype.kind == "c" else float)
-    if not np.isfinite(result).all():
-        raise ExponentialOverflowError("matrix exponential overflowed during squaring")
-    return result
+    stacked = a.ndim == 3
+    scaled = t * (a if stacked else a[np.newaxis])
+    # The extended-precision chain returns float64/complex128 for any input.
+    result = np.empty_like(scaled, dtype=np.result_type(scaled.dtype, np.float64))
+    groups: dict[int, list[int]] = {}
+    for index, norm1 in enumerate(np.abs(scaled).sum(axis=1).max(axis=1).tolist()):
+        if norm1 == 0.0:
+            result[index] = np.eye(a.shape[-1])
+            continue
+        squarings = max(0, math.ceil(math.log2(norm1)))
+        if squarings > MAX_SQUARINGS:
+            raise ExponentialOverflowError(
+                f"|t*matrix|_1 = {norm1:.3e} needs {squarings} squarings (cap {MAX_SQUARINGS})",
+                index,
+            )
+        groups.setdefault(squarings, []).append(index)
+    for squarings, members in groups.items():
+        group = scaled[members]
+        work_dtype = None
+        if squarings > _EXTENDED_PRECISION_DEPTH and _LONGDOUBLE_HELPS:
+            work_dtype = np.clongdouble if group.dtype.kind == "c" else np.longdouble
+            group = group.astype(work_dtype)
+        power = _pade13(group / 2.0 ** squarings)
+        for _ in range(squarings):
+            power = power @ power
+        if work_dtype is not None:
+            power = power.astype(complex if power.dtype.kind == "c" else float)
+        overflowed = np.flatnonzero(~np.isfinite(power).all(axis=(1, 2)))
+        if overflowed.size:
+            raise ExponentialOverflowError(
+                f"matrix exponential overflowed during {squarings} squarings",
+                members[overflowed[0]],
+            )
+        result[members] = power
+    return result if stacked else result[0]
 
 
 @dataclass(frozen=True)

@@ -99,9 +99,9 @@ class RelaxationSystem:
     def __post_init__(self):
         conv = validate_matrix(self.convection, name="convection")
         src = validate_matrix(self.source, name="source")
-        if conv.shape != src.shape:
+        if conv.shape != src.shape or conv.ndim != 2:
             raise DimensionMismatchError(
-                f"convection {conv.shape} and source {src.shape} differ"
+                f"convection {conv.shape} and source {src.shape} must be one matrix shape"
             )
         n = conv.shape[0]
         if not 0 < self.stiff_size <= n:
@@ -158,7 +158,7 @@ class StabilityWitness:
     def __post_init__(self):
         p = validate_matrix(self.transform, name="transform")
         a0 = validate_matrix(self.symmetrizer, name="symmetrizer")
-        if p.shape != a0.shape:
+        if p.shape != a0.shape or p.ndim != 2:
             raise DimensionMismatchError(f"transform {p.shape} vs symmetrizer {a0.shape}")
         if not 0 < self.stiff_size <= p.shape[0]:
             raise ValueError(f"stiff_size out of range for dimension {p.shape[0]}")
@@ -376,8 +376,8 @@ def transform_to_normal_form(convection, source, transform) -> TransformedSystem
     conv = validate_matrix(convection, name="convection")
     src = validate_matrix(source, name="source")
     p = validate_matrix(transform, name="transform")
-    if conv.shape != src.shape or conv.shape != p.shape:
-        raise DimensionMismatchError("convection, source and transform must share shape")
+    if conv.shape != src.shape or conv.shape != p.shape or conv.ndim != 2:
+        raise DimensionMismatchError("convection, source and transform must share one matrix shape")
     try:
         p_inv = inverse(p)
     except SingularMatrixError as exc:

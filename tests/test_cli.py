@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from relaxbdf.cli import _build_parser, main
 from relaxbdf.models import MODEL_BUILDERS, make_grad
 
@@ -114,4 +116,30 @@ class TestRun:
         )
         assert code == 1
         assert "not an integer multiple of dt 0.00021" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "model, order, message",
+        [
+            ("grad", "5", "order must be 1..4, got 5"),
+            ("arz", "1", "arz data is defined for orders 2..4, got 1"),
+        ],
+    )
+    def test_unsupported_order_is_usage_error(self, tmp_path, capsys, model, order, message):
+        code = main(
+            [
+                "run",
+                "--model", model,
+                "--order", order,
+                "--eps", "1",
+                "--dt", "1/20",
+                "--modes", "8",
+                "--tfinal", "1",
+                "--startup", "exact",
+                "--ref", "exact",
+                "--out", str(tmp_path / "t.csv"),
+            ]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()

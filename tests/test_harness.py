@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 
@@ -16,7 +17,7 @@ from relaxbdf.harness import (
     parse_table_csv,
     run_convergence_study,
 )
-from relaxbdf.integrator import NonIntegerStepCountError
+from relaxbdf.integrator import NonIntegerStepCountError, UnsupportedOrderError
 from relaxbdf.spectral import SpectralField, zero_field
 
 
@@ -91,6 +92,10 @@ class TestConfig:
                 modes=8, startup="exact", reference="fine:0.3",
             )
 
+    def test_order_outside_bdf_family_rejected(self):
+        with pytest.raises(UnsupportedOrderError, match="order must be 1..4, got 5"):
+            small_config(order=5)
+
     def test_stored_seed_key_still_loads(self):
         doc = {"model": "grad", "order": 2, "epsilons": [1.0], "dts": ["1/20"],
                "t_final": 1, "seed": 7}
@@ -144,14 +149,24 @@ class TestStudy:
         second = emit_table(run_convergence_study(small_config()), "csv")
         assert first == second
 
-    def test_failed_reference_marks_cells(self):
+    def test_failed_reference_marks_cells(self, caplog):
         # The exact reference needs ~1000 squarings (cap 64) and fails at run
-        # time: the whole block is marked.
+        # time: the whole block is marked, and the log names the mode.
         config = small_config(epsilons=(1e-300,))
-        table = run_convergence_study(config)
+        with caplog.at_level(logging.ERROR, logger="relaxbdf.harness"):
+            table = run_convergence_study(config)
         assert all(row.l2_error is None for row in table.rows)
         text = emit_table(table, "csv")
         assert "ERROR" in text
+        assert "mode k=0 at t=1, eps=1e-300: |t*matrix|_1" in caplog.text
+        assert "squarings (cap 64)" in caplog.text
+
+    def test_order_without_initial_data_rejected_before_first_block(self, caplog):
+        config = small_config(model="arz", order=1)
+        with caplog.at_level(logging.ERROR, logger="relaxbdf.harness"):
+            with pytest.raises(UnsupportedOrderError, match="arz data is defined for orders 2..4"):
+                run_convergence_study(config)
+        assert not caplog.records
 
     def test_grid_and_continuum_norms_differ_by_scale(self):
         grid_table = run_convergence_study(small_config())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from relaxbdf.linalg import (
+    MAX_SQUARINGS,
     ExponentialOverflowError,
     NotSymmetricError,
     SingularMatrixError,
@@ -73,6 +74,38 @@ class TestLuSolve:
         a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
         assert np.abs(a @ inverse(a) - np.eye(4)).max() < 1e-12
 
+    @pytest.mark.parametrize("dtype", [float, complex, np.longdouble, np.clongdouble])
+    def test_stack_matches_single_factorizations(self, dtype):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((9, 5, 5)).astype(dtype)
+        if np.dtype(dtype).kind == "c":
+            a = a + 1j * rng.standard_normal((9, 5, 5))
+        b = rng.standard_normal((9, 5, 3))
+        fac = lu_factor(a)
+        x = fac.solve(b)
+        vectors = fac.solve(b[..., 0])
+        for j in range(9):
+            single = lu_factor(a[j])
+            np.testing.assert_array_equal(fac.packed[j], single.packed)
+            np.testing.assert_array_equal(fac.row_order[j], single.row_order)
+            np.testing.assert_array_equal(x[j], single.solve(b[j]))
+            np.testing.assert_array_equal(vectors[j], single.solve(b[j, :, 0]))
+
+    def test_stack_singular_slice_is_named(self):
+        stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.eye(2)])
+        with pytest.raises(SingularMatrixError, match="in column 1 below threshold .* in slice 1"):
+            lu_factor(stack)
+
+    def test_stack_threshold_is_per_slice(self):
+        # A tiny slice is not singular because another slice is huge.
+        stack = np.array([1e-20 * np.eye(3), 1e20 * np.eye(3)])
+        x = lu_factor(stack).solve(np.ones((2, 3)))
+        np.testing.assert_array_equal(x, [[1e20] * 3, [1e-20] * 3])
+
+    def test_stack_rhs_must_match(self):
+        with pytest.raises(ValueError, match="does not match factors"):
+            lu_factor(np.array([np.eye(2)] * 3)).solve(np.ones((2, 2)))
+
 
 class TestMatrixExponential:
     def test_zero_matrix(self):
@@ -123,6 +156,34 @@ class TestMatrixExponential:
         result = matrix_exponential(m, 2.0)
         np.testing.assert_allclose(np.diag(result), [1.0, 0.0], atol=1e-14)
         assert np.abs(result - np.diag(np.diag(result))).max() == 0.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_slices_match_single_calls(self, dtype):
+        # Zero, shallow float64 (<= 10 squarings) and deep extended-precision
+        # slices, interleaved; each nonzero slice shares its depth with its
+        # negative.  Skew(-Hermitian) slices keep the propagators bounded.
+        rng = np.random.default_rng(21)
+        base = rng.standard_normal((3, 4, 4)).astype(dtype)
+        if base.dtype.kind == "c":
+            base = base + 1j * rng.standard_normal((3, 4, 4))
+        base = np.array([3.0, 2.0e6, 400.0])[:, None, None] * (base - np.conj(base.transpose(0, 2, 1)))
+        zero = np.zeros_like(base[0])
+        stack = np.array([zero, base[0], base[1], base[2], zero, -base[1], -base[2], -base[0]])
+        t = 0.8
+        norms = [np.abs(t * m).sum(axis=0).max() for m in stack]
+        assert 0.0 < norms[1] <= 2.0 ** 10 and norms[2] > 2.0 ** 20
+        result = matrix_exponential(stack, t)
+        assert result.shape == stack.shape
+        for j, matrix in enumerate(stack):
+            assert result[j].tobytes() == matrix_exponential(matrix, t).tobytes()
+        np.testing.assert_array_equal(result[0], np.eye(4))
+
+    def test_stack_overflow_names_slice(self):
+        stack = np.array([np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], -np.eye(2)])
+        stack[1] *= 2.0 ** (MAX_SQUARINGS + 2)
+        with pytest.raises(ExponentialOverflowError, match="needs 66 squarings") as info:
+            matrix_exponential(stack, 1.0)
+        assert info.value.index == 1
 
 
 class TestDefiniteness:
@@ -181,3 +242,15 @@ class TestValidation:
     def test_rejects_nonsquare_when_required(self):
         with pytest.raises(ValueError):
             validate_matrix(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            validate_matrix(np.zeros((4, 2, 3)))
+
+    def test_stack_accepted_and_checked(self):
+        assert validate_matrix(np.zeros((4, 2, 2))).shape == (4, 2, 2)
+        stack = np.zeros((4, 2, 2))
+        stack[3, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_matrix(stack)
+        for shape in [(2,), (0, 2, 2), (2, 2, 2, 2)]:
+            with pytest.raises(ValueError, match="2-D matrix or a stack"):
+                validate_matrix(np.zeros(shape))

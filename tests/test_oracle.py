@@ -5,9 +5,10 @@ import pytest
 
 from relaxbdf.harness import compute_error
 from relaxbdf.integrator import run
+from relaxbdf.linalg import matrix_exponential
 from relaxbdf.models import build_model, initial_data
 from relaxbdf.oracle import exact_evolve, fine_step_reference, mode_matrix
-from relaxbdf.spectral import field_inner_product, project
+from relaxbdf.spectral import SpectralField, field_inner_product, project
 from relaxbdf.system import RelaxationSystem
 from relaxbdf.theory import fit_order
 
@@ -26,7 +27,41 @@ def near_transport_system(speed=0.7):
     )
 
 
+def per_mode_evolve(u0, system, t):
+    """The oracle as one exponential per mode: the reference for the blocked one."""
+    center = u0.cutoff
+    out = np.empty_like(np.asarray(u0.coeffs))
+    for k in range(center + 1):
+        propagator = matrix_exponential(mode_matrix(system, k), t)
+        out[center + k] = propagator @ u0.coeffs[center + k]
+        if k > 0:
+            out[center - k] = np.conj(propagator) @ u0.coeffs[center - k]
+    return out
+
+
 class TestExactEvolve:
+    @pytest.mark.parametrize("name, epsilon", [("grad", 1e-12), ("arz", 1.0)])
+    @pytest.mark.parametrize("cutoff", [0, 1, 63, 64, 65, 130])
+    def test_blocks_match_per_mode_loop(self, name, epsilon, cutoff):
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        rng = np.random.default_rng(cutoff)
+        shape = (2 * cutoff + 1, system.dimension)
+        u0 = SpectralField(
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            model.domain_length,
+            real_valued=False,
+        )
+        evolved = np.asarray(exact_evolve(u0, system, 0.7).coeffs)
+        assert evolved.tobytes() == per_mode_evolve(u0, system, 0.7).tobytes()
+
+    def test_mode_matrix_accepts_mode_arrays(self):
+        system = build_model("grad").system_at(1e-2)
+        stack = mode_matrix(system, np.array([3, -3]))
+        assert stack.shape == (2, system.dimension, system.dimension)
+        assert stack[0].tobytes() == mode_matrix(system, 3).tobytes()
+        assert stack[1].tobytes() == mode_matrix(system, -3).tobytes()
+
     def test_time_zero_is_identity(self):
         model = build_model("broadwell")
         system = model.system_at(1e-3)

@@ -162,6 +162,15 @@ class TestCertificate:
         with pytest.raises(DimensionMismatchError):
             check_structural_stability((np.eye(2), np.diag([0.0, -1.0])), witness)
 
+    def test_matrix_stacks_rejected(self):
+        stack = np.array([np.diag([0.0, -1.0])] * 2)
+        with pytest.raises(DimensionMismatchError):
+            RelaxationSystem(stack, stack, 1, 1.0, 1.0)
+        with pytest.raises(DimensionMismatchError):
+            StabilityWitness(np.array([np.eye(2)] * 2), np.array([np.eye(2)] * 2), stiff_size=1)
+        with pytest.raises(DimensionMismatchError):
+            transform_to_normal_form(stack, stack, np.array([np.eye(2)] * 2))
+
     def test_summary_mentions_all_conditions(self):
         witness = StabilityWitness(np.eye(2), np.eye(2), stiff_size=1)
         report = check_structural_stability(
