@@ -77,7 +77,7 @@ class ExperimentConfig:
             raise ValueError("t_final must exceed t_start")
         bdf_coefficients(self.order)
         for dt in self.dts:
-            _integer_step_count(span, dt)
+            _integer_step_count(span, dt, self.order)
         if self.fmt not in ("csv", "md"):
             raise ValueError(f"format must be 'csv' or 'md', got {self.fmt!r}")
         if self.error_norm not in ("grid", "continuum"):
@@ -85,7 +85,7 @@ class ExperimentConfig:
         _startup_divisor(self.startup)
         kind, dt_ref = _parse_reference(self.reference)
         if kind == "fine":
-            _integer_step_count(span, dt_ref)
+            _integer_step_count(span, dt_ref, self.order)
 
     @classmethod
     def from_json(cls, text: str | dict, **cli_overrides) -> "ExperimentConfig":

@@ -54,7 +54,8 @@ class UnsupportedOrderError(ValueError):
 
 
 class NonIntegerStepCountError(ValueError):
-    """The requested time interval is not an integer number of steps."""
+    """The time interval is not an integer number of steps, or too few steps
+    for the startup history of the scheme order."""
 
 
 @dataclass(frozen=True)
@@ -383,12 +384,18 @@ def _startup_divisor(spec: str) -> int | None:
     raise ValueError(f"startup must be 'exact', 'ars' or 'ars:<divisor>', got {spec!r}")
 
 
-def _integer_step_count(span: float, dt: float) -> int:
+def _integer_step_count(span: float, dt: float, q: int) -> int:
+    """Number of steps of size ``dt`` in ``span``; it must be an integer that
+    holds the q-1 startup steps of an order-q history."""
     steps = span / dt
     rounded = round(steps)
     if abs(steps - rounded) > 1e-9 * max(1.0, abs(rounded)):
         raise NonIntegerStepCountError(
             f"interval {span!r} is not an integer multiple of dt {dt!r}"
+        )
+    if rounded < q - 1:
+        raise NonIntegerStepCountError(
+            f"{rounded} steps cannot accommodate an order-{q} history"
         )
     return int(rounded)
 
@@ -414,11 +421,7 @@ def run(
         raise ValueError("initial field does not match the system dimension")
     divisor = _startup_divisor(startup)
     coeffs = bdf_coefficients(q)
-    total = _integer_step_count(t_final - t_start, dt)
-    if total < q - 1:
-        raise NonIntegerStepCountError(
-            f"{total} steps cannot accommodate an order-{q} history"
-        )
+    total = _integer_step_count(t_final - t_start, dt, q)
     if divisor is None:
         from .oracle import exact_evolve
 

@@ -64,16 +64,20 @@ class ExponentialOverflowError(OverflowError):
         self.index = index
 
 
-def validate_matrix(entries, *, square: bool = True, name: str = "matrix") -> np.ndarray:
-    """Coerce ``entries`` to a float/complex matrix ``(m, n)`` or stack of
-    matrices ``(K, m, n)`` and reject non-finite data."""
+def validate_matrix(
+    entries, *, square: bool = True, stack: bool = True, name: str = "matrix"
+) -> np.ndarray:
+    """Coerce ``entries`` to a float/complex matrix ``(m, n)`` or, when
+    ``stack`` is set, a stack of matrices ``(K, m, n)``, and reject non-finite
+    data."""
     arr = np.array(entries, copy=True)
     if arr.dtype.kind in "iub":
         arr = arr.astype(float)
     if arr.dtype.kind not in "fc":
         raise TypeError(f"{name} must be numeric, got dtype {arr.dtype}")
-    if arr.ndim not in (2, 3) or min(arr.shape) < 1:
-        raise ValueError(f"{name} must be a 2-D matrix or a stack of them, got shape {arr.shape}")
+    if arr.ndim not in ((2, 3) if stack else (2,)) or min(arr.shape) < 1:
+        kind = "a 2-D matrix or a stack of them" if stack else "a 2-D matrix"
+        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
     if square and arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -295,7 +299,7 @@ def is_spd(matrix, tol: float = 1e-10) -> DefinitenessReport:
     Total function: asymmetry or a non-positive pivot yields a failing report
     carrying the offending residual or pivot instead of raising.
     """
-    a = validate_matrix(matrix, name="is_spd input")
+    a = validate_matrix(matrix, stack=False, name="is_spd input")
     if a.dtype.kind == "c":
         if np.abs(a.imag).max() > tol:
             return DefinitenessReport(False, "matrix has a non-real part", value=float(np.abs(a.imag).max()))
@@ -322,7 +326,7 @@ def is_negative_semidefinite(matrix, tol: float = 1e-10) -> DefinitenessReport:
 
     Raises ``NotSymmetricError`` when the symmetry residual exceeds ``tol``.
     """
-    a = validate_matrix(matrix, name="is_negative_semidefinite input")
+    a = validate_matrix(matrix, stack=False, name="is_negative_semidefinite input")
     if a.dtype.kind == "c":
         a = a.real.copy()
     residual = symmetry_residual(a)

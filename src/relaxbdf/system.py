@@ -12,6 +12,14 @@ structural stability conditions for a candidate witness ``(P, A0)``:
 
 plus the extra requirement that the transformed symmetrizer is block
 diagonal with ``A02 * S_hat`` symmetric negative-definite.
+
+:func:`find_symmetrizer` builds witnesses with ``P = I`` for normal-form
+systems.  It scans directions of the symmetric block-diagonal ``A0`` with
+``A0 A`` symmetric, on a fixed coefficient grid and within a fixed budget of
+directions.  Only (iii) depends on the scale ``c`` of a direction; it reads
+``2c A02 S_hat + I <= 0`` and so fixes ``c = -1/(2 lam)`` in closed form,
+where ``lam < 0`` is the largest eigenvalue of ``A02 S_hat``.  The verifier
+above judges every witness the search returns.
 """
 
 from __future__ import annotations
@@ -86,6 +94,29 @@ def _off_block_residual(source: np.ndarray, r: int) -> float:
     return float(np.abs(masked).max()) if masked.size else 0.0
 
 
+def _snap_normal_form(source: np.ndarray, r: int) -> np.ndarray:
+    """``source`` with its off-block entries set to exact zeros.
+
+    Raises ``NotNormalFormError`` when an off-block entry exceeds
+    ``_NORMAL_FORM_TOL`` of the matrix scale or the stiff block is singular.
+    Exact structural zeros keep the conserved components exact.
+    """
+    scale = max(float(np.abs(source).max()), 1.0)
+    residual = _off_block_residual(source, r)
+    if residual > _NORMAL_FORM_TOL * scale:
+        raise NotNormalFormError(
+            f"source has off-block residual {residual:.3e}; not in normal form"
+        )
+    bulk = source.shape[0] - r
+    cleaned = np.zeros_like(source)
+    cleaned[bulk:, bulk:] = source[bulk:, bulk:]
+    try:
+        lu_factor(cleaned[bulk:, bulk:])
+    except SingularMatrixError as exc:
+        raise NotNormalFormError(f"stiff block is singular: {exc}") from exc
+    return cleaned
+
+
 @dataclass(frozen=True)
 class RelaxationSystem:
     """Normal-form system ``U_t + A U_x = diag(0, S_hat) U / epsilon``."""
@@ -110,20 +141,7 @@ class RelaxationSystem:
             raise ValueError("epsilon must be positive")
         if not self.domain_length > 0.0:
             raise ValueError("domain_length must be positive")
-        scale = max(float(np.abs(src).max()), 1.0)
-        residual = _off_block_residual(src, self.stiff_size)
-        if residual > _NORMAL_FORM_TOL * scale:
-            raise NotNormalFormError(
-                f"source has off-block residual {residual:.3e}; not in normal form"
-            )
-        # Snap the structural zeros exactly so conserved components stay exact.
-        bulk = n - self.stiff_size
-        cleaned = np.zeros_like(src)
-        cleaned[bulk:, bulk:] = src[bulk:, bulk:]
-        try:
-            lu_factor(cleaned[bulk:, bulk:])
-        except SingularMatrixError as exc:
-            raise NotNormalFormError(f"stiff block is singular: {exc}") from exc
+        cleaned = _snap_normal_form(src, self.stiff_size)
         conv.setflags(write=False)
         cleaned.setflags(write=False)
         object.__setattr__(self, "convection", conv)
@@ -238,8 +256,8 @@ def _system_matrices(system) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(system.convection), np.asarray(system.source)
     conv, src = system
     return (
-        validate_matrix(conv, name="convection"),
-        validate_matrix(src, name="source"),
+        validate_matrix(conv, stack=False, name="convection"),
+        validate_matrix(src, stack=False, name="source"),
     )
 
 
@@ -385,23 +403,9 @@ def transform_to_normal_form(convection, source, transform) -> TransformedSystem
     new_conv = p @ conv @ p_inv
     new_src = p @ src @ p_inv
     r = _infer_stiff_size(new_src, _NORMAL_FORM_TOL)
-    scale = max(float(np.abs(new_src).max()), 1.0)
     if r == 0:
         raise NotNormalFormError("transformed source vanishes; no stiff block")
-    residual = _off_block_residual(new_src, r)
-    if residual > _NORMAL_FORM_TOL * scale:
-        raise NotNormalFormError(
-            f"transform leaves off-block residual {residual:.3e}"
-        )
-    n = conv.shape[0]
-    bulk = n - r
-    cleaned = np.zeros_like(new_src)
-    cleaned[bulk:, bulk:] = new_src[bulk:, bulk:]
-    try:
-        lu_factor(cleaned[bulk:, bulk:])
-    except SingularMatrixError as exc:
-        raise NotNormalFormError(f"stiff block singular after transform: {exc}") from exc
-    return TransformedSystem(new_conv, cleaned, r)
+    return TransformedSystem(new_conv, _snap_normal_form(new_src, r), r)
 
 
 def find_transform(source, tol: float = 1e-10) -> np.ndarray:
@@ -413,7 +417,7 @@ def find_transform(source, tol: float = 1e-10) -> np.ndarray:
     by its largest-magnitude entry for readability.  Fails with
     ``NotNormalFormError`` when the source has a nilpotent part.
     """
-    src = validate_matrix(source, name="source")
+    src = validate_matrix(source, stack=False, name="source")
     n = src.shape[0]
     left_gram = src @ src.T
     right_gram = src.T @ src
@@ -443,6 +447,9 @@ def find_transform(source, tol: float = 1e-10) -> np.ndarray:
 
 
 # -- symmetrizer search -----------------------------------------------------
+
+_SEARCH_TICKS = np.arange(-2.0, 2.125, 0.25)
+_SEARCH_BUDGET = 200_000
 
 
 def _block_diag_basis(n: int, r: int) -> list[np.ndarray]:
@@ -500,25 +507,26 @@ def _integer_like_rescale(system: RelaxationSystem, witness_matrix: np.ndarray, 
     return None
 
 
-def find_symmetrizer(
-    system: RelaxationSystem,
-    tol: float = 1e-10,
-    *,
-    grid_limit: float = 2.0,
-    grid_step: float = 0.25,
-    max_candidates: int = 200_000,
-) -> StabilityWitness:
+def find_symmetrizer(system: RelaxationSystem, tol: float = 1e-10) -> StabilityWitness:
     """Search for a block-diagonal symmetrizer certifying a normal-form system.
 
     The symmetric block-diagonal candidates satisfying the linear constraint
     ``A0 A = A^T A0`` form a subspace; its basis is found by a least-squares
-    (Gram-matrix) null-space computation.  Candidate coefficient combinations
-    are scanned on a coarse grid, with a golden-section refinement of the
-    dissipation eigenvalue along the best direction if the grid fails.  The
-    first passing candidate is rescaled to the smallest integer-like scale.
+    (Gram-matrix) null-space computation.  Directions in that subspace are
+    scanned on the coefficient grid ``_SEARCH_TICKS`` in ``itertools.product``
+    order, at most ``_SEARCH_BUDGET`` of them.
 
-    Raises ``SymmetrizerNotFoundError`` with the best residual seen when the
-    budget is exhausted.
+    Only the scale of a direction is left free.  With ``P = I`` every check
+    except the dissipation inequality (iii) is invariant under a positive
+    scale ``c``, and (iii) reduces to ``2c A02 S + I <= 0``.  So a direction
+    whose ``A02 S`` is symmetric within ``tol`` with largest eigenvalue
+    ``lam < 0`` is taken at ``c = -1/(2 lam)``; other directions are skipped.
+    The first scaled direction that :func:`check_structural_stability`
+    passes is returned, rescaled to integer entries when a small integer
+    scale also passes.
+
+    Raises ``SymmetrizerNotFoundError`` with the number of directions scanned
+    when none passes.
     """
     space = _symmetrizer_solution_space(system)
     if not space:
@@ -527,84 +535,27 @@ def find_symmetrizer(
         raise SymmetrizerNotFoundError(
             f"solution space dimension {len(space)} exceeds the search budget"
         )
-
+    bulk = system.bulk_size
     ident = np.eye(system.dimension)
-
-    def evaluate(matrix: np.ndarray):
-        peak = np.abs(matrix).max()
-        if peak <= 1e-12:
-            return None
-        witness = StabilityWitness(ident, matrix, stiff_size=system.stiff_size)
-        return check_structural_stability(system, witness, tol)
-
-    dim = len(space)
-    ticks = np.arange(-grid_limit, grid_limit + 0.5 * grid_step, grid_step)
-    best = (np.inf, None)
-    evaluated = 0
-    for raw in itertools.product(ticks, repeat=dim):
-        if evaluated >= max_candidates:
+    scanned = 0
+    for combo in itertools.product(_SEARCH_TICKS, repeat=len(space)):
+        if scanned >= _SEARCH_BUDGET:
             break
-        combo = np.array(raw)
-        if np.abs(combo).max() == 0.0:
+        if not any(combo):
             continue
-        candidate = sum(c * mat for c, mat in zip(combo, space))
-        report = evaluate(candidate)
-        evaluated += 1
-        if report is None:
+        scanned += 1
+        direction = sum(c * mat for c, mat in zip(combo, space))
+        coupling = direction[bulk:, bulk:] @ system.stiff_block
+        if symmetry_residual(coupling) > tol:
             continue
-        if report.passed:
-            rescaled = _integer_like_rescale(system, candidate, tol)
-            if rescaled is not None:
-                return rescaled
-            return StabilityWitness(ident, candidate, stiff_size=system.stiff_size)
-        score = max(report.dissipation.residual, 0.0) + (0.0 if report.symmetrizer_spd else 1.0)
-        if score < best[0]:
-            best = (score, combo.copy())
-
-    if best[1] is not None:
-        refined = _golden_refine(system, space, best[1], tol, evaluate)
-        if refined is not None:
-            return refined
-    raise SymmetrizerNotFoundError(
-        f"no witness after {evaluated} candidates; best dissipation residual {best[0]:.3e}"
-    )
-
-
-def _golden_refine(system, space, combo, tol, evaluate):
-    """Golden-section sweep of each coefficient against the dissipation eigenvalue."""
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    combo = combo.astype(float)
-
-    def objective(c):
-        candidate = sum(x * mat for x, mat in zip(c, space))
-        report = evaluate(candidate)
-        if report is None:
-            return np.inf, None
-        penalty = 0.0 if report.symmetrizer_spd else 1e3
-        return report.dissipation.residual + penalty, report
-
-    for axis in range(len(combo)):
-        low, high = combo[axis] - 0.5, combo[axis] + 0.5
-        for _ in range(40):
-            mid1 = high - golden * (high - low)
-            mid2 = low + golden * (high - low)
-            trial1, trial2 = combo.copy(), combo.copy()
-            trial1[axis], trial2[axis] = mid1, mid2
-            if objective(trial1)[0] <= objective(trial2)[0]:
-                high = mid2
-            else:
-                low = mid1
-        combo[axis] = 0.5 * (low + high)
-        score, report = objective(combo)
-        if report is not None and report.passed:
-            candidate = sum(x * mat for x, mat in zip(combo, space))
-            rescaled = _integer_like_rescale(system, candidate, tol)
-            if rescaled is not None:
-                return rescaled
-            return StabilityWitness(
-                np.eye(system.dimension), candidate, stiff_size=system.stiff_size
-            )
-    return None
+        largest = float(np.linalg.eigvalsh(0.5 * (coupling + coupling.T))[-1])
+        if not largest < 0.0:
+            continue
+        candidate = direction * (-0.5 / largest)
+        witness = StabilityWitness(ident, candidate, stiff_size=system.stiff_size)
+        if check_structural_stability(system, witness, tol).passed:
+            return _integer_like_rescale(system, candidate, tol) or witness
+    raise SymmetrizerNotFoundError(f"no witness among {scanned} directions")
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -118,6 +118,25 @@ class TestRun:
         assert "not an integer multiple of dt 0.00021" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_too_few_steps_for_order_is_usage_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "run",
+                "--model", "grad",
+                "--order", "4",
+                "--eps", "1",
+                "--dt", "1/2,1/100,1/200",  # 2 steps cannot hold 3 startup values
+                "--modes", "8",
+                "--tfinal", "1",
+                "--startup", "exact",
+                "--ref", "exact",
+                "--out", str(tmp_path / "t.csv"),
+            ]
+        )
+        assert code == 1
+        assert "2 steps cannot accommodate an order-4 history" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize(
         "model, order, message",
         [

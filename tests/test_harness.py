@@ -92,6 +92,14 @@ class TestConfig:
                 modes=8, startup="exact", reference="fine:0.3",
             )
 
+    @pytest.mark.parametrize(
+        "dts, reference",
+        [((0.5, 1 / 100, 1 / 200), "exact"), ((1 / 100, 1 / 200), "fine:0.5")],
+    )
+    def test_too_few_steps_for_order_rejected(self, dts, reference):
+        with pytest.raises(NonIntegerStepCountError, match="2 steps cannot accommodate an order-4"):
+            small_config(order=4, dts=dts, reference=reference)
+
     def test_order_outside_bdf_family_rejected(self):
         with pytest.raises(UnsupportedOrderError, match="order must be 1..4, got 5"):
             small_config(order=5)

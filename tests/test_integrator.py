@@ -320,6 +320,13 @@ class TestRun:
         with pytest.raises(NonIntegerStepCountError):
             run(u0, system, 2, 0.3, 1.0)
 
+    def test_too_few_steps_for_history_rejected(self):
+        model = build_model("grad")
+        system = model.system_at(1.0)
+        u0 = initial_data(model, 4, 4, 1.0)
+        with pytest.raises(NonIntegerStepCountError, match="2 steps cannot accommodate an order-4"):
+            run(u0, system, 4, 0.5, 1.0)
+
     def test_unknown_startup_rejected(self):
         model = build_model("arz")
         system = model.system_at(1.0)

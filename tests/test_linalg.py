@@ -254,3 +254,8 @@ class TestValidation:
         for shape in [(2,), (0, 2, 2), (2, 2, 2, 2)]:
             with pytest.raises(ValueError, match="2-D matrix or a stack"):
                 validate_matrix(np.zeros(shape))
+
+    @pytest.mark.parametrize("check", [is_spd, is_negative_semidefinite])
+    def test_definiteness_checks_reject_stacks(self, check):
+        with pytest.raises(ValueError, match=r"2-D matrix, got shape \(2, 3, 3\)"):
+            check(np.zeros((2, 3, 3)))

@@ -171,6 +171,14 @@ class TestCertificate:
         with pytest.raises(DimensionMismatchError):
             transform_to_normal_form(stack, stack, np.array([np.eye(2)] * 2))
 
+    def test_stacks_rejected_by_shape(self):
+        stack = np.array([np.diag([0.0, -1.0])] * 2)
+        with pytest.raises(ValueError, match=r"2-D matrix, got shape \(2, 3, 3\)"):
+            find_transform(np.zeros((2, 3, 3)))
+        witness = StabilityWitness(np.eye(2), np.eye(2), stiff_size=1)
+        with pytest.raises(ValueError, match=r"2-D matrix, got shape \(2, 2, 2\)"):
+            check_structural_stability((stack, stack), witness)
+
     def test_summary_mentions_all_conditions(self):
         witness = StabilityWitness(np.eye(2), np.eye(2), stiff_size=1)
         report = check_structural_stability(
@@ -234,8 +242,8 @@ class TestSymmetrizerSearch:
         assert check_structural_stability(system, witness, 1e-10).passed
 
     def test_not_found_reports(self):
-        # A convection part with no symmetric block-diagonal symmetrizer other
-        # than zero: rotation-like coupling forces A0 = 0.
+        # Rotation-like coupling admits only multiples of diag(1, -1), which
+        # are indefinite, so no direction gives an SPD symmetrizer.
         system = RelaxationSystem(
             convection=np.array([[0.0, 1.0], [-1.0, 0.0]]),
             source=np.diag([0.0, -1.0]),
@@ -243,8 +251,80 @@ class TestSymmetrizerSearch:
             epsilon=1.0,
             domain_length=1.0,
         )
-        with pytest.raises(SymmetrizerNotFoundError):
+        with pytest.raises(SymmetrizerNotFoundError, match="among 16 directions"):
             find_symmetrizer(system)
+
+    @pytest.mark.parametrize("damping", [0.1, 0.01])
+    def test_weak_damping_needs_a_large_scale(self, damping):
+        # (iii) needs A0 = diag(a, b) with b >= 1/(2 damping), beyond the
+        # coefficient grid; the scale is set in closed form, not searched.
+        system = RelaxationSystem(
+            convection=np.diag([1.0, -1.0]),
+            source=np.diag([0.0, -damping]),
+            stiff_size=1,
+            epsilon=1.0,
+            domain_length=1.0,
+        )
+        witness = find_symmetrizer(system)
+        assert check_structural_stability(system, witness, 1e-10).passed
+
+    def test_weakly_damped_moment_system(self):
+        off = np.sqrt(np.arange(1.0, 4.0))
+        system = RelaxationSystem(
+            convection=np.diag(off, 1) + np.diag(off, -1),
+            source=-0.1 * np.diag([0.0, 0.0, 1.0, 1.0]),
+            stiff_size=2,
+            epsilon=1.0,
+            domain_length=2 * np.pi,
+        )
+        witness = find_symmetrizer(system)
+        assert check_structural_stability(system, witness, 1e-10).passed
+
+    def test_witness_is_well_conditioned(self):
+        system = RelaxationSystem(
+            convection=np.diag([1.0, -1.0]),
+            source=np.diag([0.0, -0.22]),
+            stiff_size=1,
+            epsilon=1.0,
+            domain_length=1.0,
+        )
+        witness = find_symmetrizer(system)
+        eigenvalues = np.linalg.eigvalsh(witness.symmetrizer)
+        assert eigenvalues[0] >= 1e-3 * eigenvalues[-1]
+        assert check_structural_stability(system, witness, 1e-10).passed
+
+    def test_generated_certified_systems(self):
+        # Built from the certificate side: a block-diagonal SPD A0, A = A0^-1 B
+        # with B symmetric, and S = -A02^-1 N with N SPD, so A0 certifies the
+        # system at a large enough scale.  The damping scale of N ranges from
+        # weak (0.05) to strong (20).
+        rng = np.random.default_rng(20231)
+
+        def spd(m, scale=1.0):
+            x = rng.standard_normal((m, m))
+            return scale * (x @ x.T + m * np.eye(m))
+
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            r = int(rng.integers(1, n))
+            bulk = n - r
+            a0 = np.zeros((n, n))
+            a0[:bulk, :bulk] = spd(bulk)
+            a0[bulk:, bulk:] = spd(r)
+            b = rng.standard_normal((n, n))
+            source = np.zeros((n, n))
+            source[bulk:, bulk:] = -np.linalg.solve(
+                a0[bulk:, bulk:], spd(r, rng.choice([0.05, 1.0, 20.0]))
+            )
+            system = RelaxationSystem(
+                convection=np.linalg.solve(a0, b + b.T),
+                source=source,
+                stiff_size=r,
+                epsilon=1.0,
+                domain_length=1.0,
+            )
+            witness = find_symmetrizer(system)
+            assert check_structural_stability(system, witness, 1e-10).passed
 
 
 class TestJsonInterchange:
