@@ -15,6 +15,7 @@ usage or runtime errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -47,16 +48,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a convergence study")
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     run_p.add_argument("--config", help="JSON file with ExperimentConfig fields")
     run_p.add_argument("--model", choices=sorted(MODEL_BUILDERS))
     run_p.add_argument("--order", type=int, help="scheme order q (1..4)")
     run_p.add_argument("--eps", help="comma-separated relaxation times (fractions ok)")
     run_p.add_argument("--dt", help="comma-separated decreasing steps (fractions ok)")
-    run_p.add_argument("--modes", type=int, help="Fourier cutoff N (default 100)")
-    run_p.add_argument("--t0", help="start time (default 0)")
+    run_p.add_argument("--modes", type=int, help=f"Fourier cutoff N (default {defaults['modes']})")
+    run_p.add_argument("--t0", help=f"start time (default {defaults['t_start']:g})")
     run_p.add_argument("--tfinal", help="final time")
-    run_p.add_argument("--startup", help="'exact', 'ars' or 'ars:DIVISOR' (default ars:500)")
-    run_p.add_argument("--ref", help="'exact' or 'fine:DTREF' (default exact)")
+    run_p.add_argument(
+        "--startup", help=f"'exact', 'ars' or 'ars:DIVISOR' (default {defaults['startup']})"
+    )
+    run_p.add_argument("--ref", help=f"'exact' or 'fine:DTREF' (default {defaults['reference']})")
     run_p.add_argument("--format", choices=["csv", "md"], dest="fmt")
     run_p.add_argument("--out", help="output path (stdout when omitted)")
 
@@ -86,14 +90,11 @@ def _config_from_args(args) -> ExperimentConfig:
         "fmt": args.fmt,
         "output": args.out,
     }
+    doc = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        return ExperimentConfig.from_json(doc, **cli_fields)
-    missing = [key for key in ("model", "order", "epsilons", "dts", "t_final") if cli_fields[key] is None]
-    if missing:
-        raise ValueError(f"missing required options: {missing} (or use --config)")
-    return ExperimentConfig.from_json({}, **cli_fields)
+    return ExperimentConfig.from_json(doc, **cli_fields)
 
 
 def _cmd_run(args) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .integrator import _integer_step_count, _startup_divisor, bdf_coefficients, run
 from .models import ModelSpec, build_model, initial_data
@@ -64,8 +64,8 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "dts", tuple(float(d) for d in self.dts))
+        object.__setattr__(self, "epsilons", tuple(_parse_number(e) for e in self.epsilons))
+        object.__setattr__(self, "dts", tuple(_parse_number(d) for d in self.dts))
         if not self.epsilons:
             raise ValueError("at least one epsilon is required")
         if not self.dts:
@@ -89,23 +89,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str | dict, **cli_overrides) -> "ExperimentConfig":
+        """Build a config from a JSON document (or dict) and command-line values.
+
+        Non-None ``cli_overrides`` win over the document, unknown keys are
+        ignored and absent fields take the dataclass defaults.
+        """
         doc = json.loads(text) if isinstance(text, str) else dict(text)
         doc.update({k: v for k, v in cli_overrides.items() if v is not None})
-        return cls(
-            model=doc["model"],
-            order=int(doc["order"]),
-            epsilons=tuple(_parse_number(e) for e in doc["epsilons"]),
-            dts=tuple(_parse_number(d) for d in doc["dts"]),
-            t_final=_parse_number(doc["t_final"]),
-            t_start=_parse_number(doc.get("t_start", 0.0)),
-            modes=int(doc.get("modes", 100)),
-            startup=doc.get("startup", "ars:500"),
-            reference=doc.get("reference", "exact"),
-            error_norm=doc.get("error_norm", "grid"),
-            output=doc.get("output"),
-            fmt=doc.get("fmt", "csv"),
-            overrides=dict(doc.get("overrides", {})),
-        )
+        specs = [f for f in fields(cls) if f.name in doc]
+        missing = [f.name for f in fields(cls)
+                   if f.name not in doc and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"missing required fields: {missing}")
+        return cls(**{f.name: _FROM_JSON.get(f.name, lambda v: v)(doc[f.name]) for f in specs})
+
+
+# How from_json reads the scalar fields; __post_init__ parses the number lists.
+_FROM_JSON = {"order": int, "modes": int, "t_final": _parse_number, "t_start": _parse_number,
+              "overrides": dict}
 
 
 def _parse_reference(spec: str) -> tuple[str, float]:

@@ -12,13 +12,13 @@ the stiff source implicitly.  Because the implicit matrix
 factored (with the singular-pivot check) and inverted once per run; each step
 then applies the inverse to all modes with one matrix product.
 
-Startup values for q >= 2 come either from the exact per-mode propagator
-("exact", the default for testing) or from an ARS-type IMEX Runge-Kutta
-integration with N refined substeps per step ("ars:N", or "ars" for N=500,
-used for table reproduction).  One ARS substep is a fixed linear map ``R_k``
-on each mode; ``R_k - I`` is built once from the stage equations and every
-substep applies it to all modes with one batched matrix product, accumulated
-with compensated summation.
+Startup values for q >= 2 apply one per-mode map of a step ``dt`` q-1
+times: the exact propagator ("exact", the default for testing) or N refined
+substeps of an ARS-type IMEX Runge-Kutta scheme ("ars:N", or "ars" for
+N=500, used for table reproduction).  An ARS substep is ``R_k = I + D_k``;
+binary powering in increment form gives ``R_k^N = I + E`` and a slab is one
+``v + E v``.  No O(substep) entry is rounded against 1, as it would be in
+``matrix_power(I + D, N)``, so no compensated summation is needed.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import lu_factor
+from .oracle import _propagators
 from .spectral import SpectralField
 from .system import RelaxationSystem
 
@@ -277,55 +278,49 @@ def _ars_increment(
     substep: float,
     wavenumbers: np.ndarray,
 ) -> np.ndarray:
-    """Per-mode increments ``R_k - I`` of one ARS substep, shape (2N+1, n, n).
+    """Per-mode increments ``D_k = R_k - I`` of one ARS substep, shape (2N+1, n, n).
 
-    The substep ``u -> R_k u`` is linear and acts on each mode separately, so
-    column j of every increment is the weighted stage sum of the substep
-    applied to the field whose modes all equal the unit vector e_j.  The sum
-    is formed without the leading ``u``, so the O(substep) entries are not
-    rounded against the identity.
+    The substep is linear and acts on each mode separately, so stage i is a
+    per-mode matrix ``K_i`` (``K_0 = I``).  The weighted stage sum is formed
+    without the leading ``I``: no O(substep) entry is rounded against 1.
     """
-    conv_t = np.asarray(system.convection).T
-    source_t = np.asarray(system.source).T / system.epsilon
-    ikappa = (1j * wavenumbers)[:, np.newaxis]
-
     diag = np.diag(tableau.implicit)[1:]
     if not np.allclose(diag, diag[0]):
         raise ValueError("implicit tableau must have a constant diagonal")
     n = system.dimension
-    stage_matrix = np.eye(n) - substep * diag[0] / system.epsilon * np.asarray(system.source)
-    stage_lu = lu_factor(stage_matrix)
+    explicit = np.multiply.outer(-1j * wavenumbers, system.convection)
+    source = np.asarray(system.source) / system.epsilon
+    stage_inverse = lu_factor(np.eye(n) - substep * diag[0] * source).solve(np.eye(n))
+    identity = np.broadcast_to(np.eye(n, dtype=complex), (len(wavenumbers), n, n))
+    fe, fi = [], []
 
-    def f_explicit(u):
-        return -ikappa * (u @ conv_t)
+    def weighted_sum(total, explicit_row, implicit_row):
+        for fe_j, fi_j, a_e, a_i in zip(fe, fi, explicit_row, implicit_row):
+            if a_e != 0.0:
+                total += (substep * a_e) * fe_j
+            if a_i != 0.0:
+                total += (substep * a_i) * fi_j
+        return total
 
-    def f_implicit(u):
-        return u @ source_t
+    for i in range(tableau.stages):
+        rhs = weighted_sum(identity.copy(), tableau.explicit[i], tableau.implicit[i])
+        stage = stage_inverse @ rhs if i else rhs
+        fe.append(explicit @ stage)
+        fi.append(source @ stage)
+    return weighted_sum(np.zeros_like(identity), tableau.weights_explicit, tableau.weights_implicit)
 
-    def stage_sum(u):
-        fe = [f_explicit(u)]
-        fi = [np.zeros_like(u)]
-        for i in range(1, tableau.stages):
-            rhs = u.copy()
-            for j in range(i):
-                if tableau.explicit[i, j] != 0.0:
-                    rhs += (substep * tableau.explicit[i, j]) * fe[j]
-                if tableau.implicit[i, j] != 0.0:
-                    rhs += (substep * tableau.implicit[i, j]) * fi[j]
-            stage = stage_lu.solve(rhs.T).T
-            fe.append(f_explicit(stage))
-            fi.append(f_implicit(stage))
-        update = np.zeros_like(u)
-        for j in range(tableau.stages):
-            if tableau.weights_explicit[j] != 0.0:
-                update += (substep * tableau.weights_explicit[j]) * fe[j]
-            if tableau.weights_implicit[j] != 0.0:
-                update += (substep * tableau.weights_implicit[j]) * fi[j]
-        return update
 
-    shape = (len(wavenumbers), n)
-    columns = [stage_sum(np.full(shape, unit, dtype=complex)) for unit in np.eye(n)]
-    return np.stack(columns, axis=-1)
+def _increment_power(increment: np.ndarray, count: int) -> np.ndarray:
+    """``E`` with ``I + E = (I + increment)^count``, by binary powering in
+    increment form: ``E_2m = 2 E_m + E_m E_m``, ``E_(a+b) = E_a + E_b + E_a E_b``."""
+    result = None
+    while True:
+        if count & 1:
+            result = increment if result is None else result + increment + result @ increment
+        count >>= 1
+        if not count:
+            return result
+        increment = 2.0 * increment + increment @ increment
 
 
 # Substeps per step of the "ars" startup, the protocol of the reference tables.
@@ -343,26 +338,24 @@ def ars_startup(
 
     Each slab of width dt is integrated with the order-matched ARS scheme at
     the refined substep ``dt / substep_divisor``, so the startup error sits
-    far below the multistep truncation error.  Every substep is taken; only
-    the per-mode substep increments are precomputed.
+    far below the multistep truncation error.  The substeps of a slab are
+    composed into one per-mode map ``I + E``, applied as ``v + E v``.
     """
     if q == 1:
         return [u0]
     if substep_divisor < 1:
         raise ValueError("substep_divisor must be >= 1")
     increment = _ars_increment(system, ars_tableau(q), dt / substep_divisor, u0.wavenumbers)
+    slab = _increment_power(increment, substep_divisor)
+    return _startup_history(u0, q, lambda v: v + (slab @ v[..., np.newaxis])[..., 0])
+
+
+def _startup_history(u0: SpectralField, q: int, step) -> list[SpectralField]:
+    """The q startup fields ``u0, step(u0), ...`` of a per-mode map ``step``."""
     fields = [u0]
-    values = np.array(u0.coeffs)[:, :, np.newaxis]
-    # Kahan-compensated accumulation of the O(substep) increments: the
-    # startup then carries no roundoff that grows with the substep count.
-    carry = np.zeros_like(values)
     for _ in range(q - 1):
-        for _ in range(substep_divisor):
-            addend = increment @ values - carry
-            total = values + addend
-            carry = (total - values) - addend
-            values = total
-        fields.append(SpectralField(values[:, :, 0], u0.domain_length, u0.real_valued))
+        values = step(np.asarray(fields[-1].coeffs))
+        fields.append(SpectralField(values, u0.domain_length, u0.real_valued))
     return fields
 
 
@@ -422,12 +415,13 @@ def run(
     divisor = _startup_divisor(startup)
     coeffs = bdf_coefficients(q)
     total = _integer_step_count(t_final - t_start, dt, q)
-    if divisor is None:
-        from .oracle import exact_evolve
-
-        history = [u0 if i == 0 else exact_evolve(u0, system, i * dt) for i in range(q)]
-    else:
+    if divisor is not None:
         history = ars_startup(u0, system, q, dt, substep_divisor=divisor)
+    elif q == 1:
+        history = [u0]
+    else:
+        step = _propagators(system, u0.cutoff, dt)
+        history = _startup_history(u0, q, lambda v: (step @ v[..., np.newaxis])[..., 0])
     if total == q - 1:
         return history[-1]
     state = make_solver_state(history, system, coeffs, dt)

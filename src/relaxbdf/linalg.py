@@ -232,8 +232,9 @@ def matrix_exponential(matrix, t: float = 1.0) -> np.ndarray:
     ``matrix`` may be a stack ``(K, n, n)``; a single matrix is a stack of
     one.  Each slice gets its own depth and precision, and the slices that
     share a depth run through the Pade kernel and the squarings together, so
-    every slice sees exactly the arithmetic it would see alone.  An error
-    names the failing slice in its ``index``.
+    every slice sees exactly the arithmetic it would see alone.  The rows of
+    ``exp(t M)`` where ``M`` has a zero row are exact identity rows.  An
+    error names the failing slice in its ``index``.
     """
     a = validate_matrix(matrix, name="matrix_exponential input")
     if not math.isfinite(t):
@@ -272,6 +273,10 @@ def matrix_exponential(matrix, t: float = 1.0) -> np.ndarray:
                 members[overflowed[0]],
             )
         result[members] = power
+    # A zero row of M is an identity row of exp(tM).  Set it exactly: complex
+    # division (b/b as b*(1/b)) in the Pade solve can round its 1 down.
+    slices, rows = np.nonzero(~scaled.any(axis=2))
+    result[slices, rows] = np.eye(a.shape[-1])[rows]
     return result if stacked else result[0]
 
 

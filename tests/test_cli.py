@@ -79,6 +79,12 @@ class TestRun:
         assert main(["run", "--model", "grad"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_missing_required_field_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"order": 2, "epsilons": [1.0], "dts": ["1/20"], "t_final": 1}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "missing required fields: ['model']" in capsys.readouterr().err
+
     def test_failed_cells_exit_code(self, tmp_path):
         code = main(
             [

@@ -110,6 +110,18 @@ class TestConfig:
         config = ExperimentConfig.from_json(doc)
         assert not hasattr(config, "seed")
 
+    def test_from_json_defaults_follow_the_dataclass(self):
+        doc = {"model": "grad", "order": "2", "epsilons": [1.0], "dts": ["1/20"], "t_final": "1"}
+        config = ExperimentConfig.from_json(doc)
+        assert config == ExperimentConfig(
+            model="grad", order=2, epsilons=(1.0,), dts=(0.05,), t_final=1.0
+        )
+
+    def test_from_json_names_missing_required_field(self):
+        doc = {"model": "grad", "order": 2, "epsilons": [1.0], "dts": ["1/20"]}
+        with pytest.raises(ValueError, match="missing required fields: \\['t_final'\\]"):
+            ExperimentConfig.from_json(doc)
+
     def test_bad_norm(self):
         with pytest.raises(ValueError):
             small_config(error_norm="sup")

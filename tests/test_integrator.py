@@ -249,6 +249,21 @@ class TestArsStartup:
             scale = np.abs(expected).max()
             assert np.abs(field.coeffs - expected).max() <= 1e-13 * scale
 
+    @pytest.mark.parametrize("name", ["arz", "broadwell"])
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-8])
+    @pytest.mark.parametrize("divisor", [1, 2, 3, 8, 13])
+    def test_powering_matches_substep_loop_for_every_divisor(self, name, q, epsilon, divisor):
+        # 1, 2 and 8 are single bits; 3 and 13 compose partial powers.
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        u0 = initial_data(model, q, 8, epsilon)
+        fields = ars_startup(u0, system, q, 1e-2, substep_divisor=divisor)
+        reference = substep_loop_startup(u0, system, q, 1e-2, divisor)
+        for field, expected in zip(fields, reference):
+            scale = np.abs(expected).max()
+            assert np.abs(field.coeffs - expected).max() <= 1e-13 * scale
+
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps,
         reason="needs an extended-precision long double",
@@ -363,6 +378,41 @@ class TestRun:
         bare = run(u0, system, 3, 0.25, 1.0, startup="ars")
         explicit = run(u0, system, 3, 0.25, 1.0, startup="ars:500")
         assert np.array_equal(bare.coeffs, explicit.coeffs)
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-4, 1e-8, 1e-12])
+    def test_exact_startup_keeps_conserved_components_bitwise(self, name, q, epsilon):
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        u0 = initial_data(model, q, 8, epsilon)
+        bulk = system.bulk_size
+        conserved = u0.mode(0)[:bulk].copy()
+        for t in (1e-3, 2e-2, 0.7):
+            assert np.array_equal(exact_evolve(u0, system, t).mode(0)[:bulk], conserved)
+        final = run(u0, system, q, 1e-2, 0.5, startup="exact")
+        assert np.array_equal(final.mode(0)[:bulk], conserved)
+
+    def test_exact_startup_exponentiates_once_per_block(self, monkeypatch):
+        # 130 non-negative modes make blocks of 64, 64 and 2; the q-1 startup
+        # values reuse the propagators of one step, and q=1 needs none.
+        from relaxbdf import oracle
+
+        calls = []
+        original = oracle.matrix_exponential
+
+        def counting(matrix, t=1.0):
+            calls.append((len(matrix), t))
+            return original(matrix, t)
+
+        monkeypatch.setattr(oracle, "matrix_exponential", counting)
+        model = build_model("broadwell")
+        system = model.system_at(1e-3)
+        u0 = initial_data(model, 4, 129, 1e-3)
+        run(u0, system, 4, 1 / 40, 0.5, startup="exact")
+        assert calls == [(64, 1 / 40), (64, 1 / 40), (2, 1 / 40)]
+        run(u0, system, 1, 1 / 40, 0.5, startup="exact")  # no startup values
+        assert len(calls) == 3
 
     def test_nonzero_start_time(self):
         system = scalar_decay_system()

@@ -157,6 +157,13 @@ class TestMatrixExponential:
         np.testing.assert_allclose(np.diag(result), [1.0, 0.0], atol=1e-14)
         assert np.abs(result - np.diag(np.diag(result))).max() == 0.0
 
+    @pytest.mark.parametrize("t", [0.01, 0.3, 2.0, 1e3])
+    def test_zero_rows_give_exact_identity_rows(self, t):
+        # A relaxation generator at k=0: the conserved rows must not move.
+        # Complex division in the Pade solve used to round their 1 down.
+        m = np.array([[0, 0, 0], [0, 0, 0], [0.5, -1.0, -3.0]], dtype=complex)
+        assert np.array_equal(matrix_exponential(m, t)[:2], np.eye(2, 3))
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_stack_slices_match_single_calls(self, dtype):
         # Zero, shallow float64 (<= 10 squarings) and deep extended-precision

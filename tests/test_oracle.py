@@ -13,6 +13,7 @@ from relaxbdf.system import RelaxationSystem
 from relaxbdf.theory import fit_order
 
 TWO_PI = 2.0 * math.pi
+LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
 
 
 def near_transport_system(speed=0.7):
@@ -103,6 +104,45 @@ class TestExactEvolve:
         composed = exact_evolve(exact_evolve(u0, system, 0.5), system, 0.4)
         scale = max(direct.l2_norm(), 1.0)
         assert compute_error(direct, composed) / scale < 1e-9
+
+    @pytest.mark.parametrize(
+        "name, cutoff, epsilon, h",
+        [
+            ("grad", 1000, 1e-12, 1 / 20),
+            ("grad", 1000, 1e-8, 1 / 20),
+            ("grad", 1000, 1.0, 1 / 20),
+            ("broadwell", 100, 1.0, 1 / 200),
+            ("broadwell", 100, 1e-6, 1 / 200),
+            ("arz", 100, 1e-4, 1 / 700),
+        ],
+    )
+    def test_semigroup_residual_within_error_model(self, name, cutoff, epsilon, h):
+        # Error model of the oracle: the squarings amplify the working
+        # precision u by |t M_k|_1, and the chain runs in long double above
+        # depth 10.  A full-spectrum field exercises the stiffest mode.
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        norm = float(np.abs(mode_matrix(system, np.arange(cutoff + 1))).sum(axis=1).max())
+        amplification = max(1.0, 3 * h * norm)
+        if math.ceil(math.log2(amplification)) > 10:
+            if not LONGDOUBLE_IS_EXTENDED:
+                pytest.skip("needs an extended-precision long double")
+            unit = float(np.finfo(np.longdouble).eps)
+        else:
+            unit = float(np.finfo(float).eps)
+        rng = np.random.default_rng(cutoff)
+        shape = (2 * cutoff + 1, system.dimension)
+        u0 = SpectralField(
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            model.domain_length,
+            real_valued=False,
+        )
+        direct = exact_evolve(u0, system, 3 * h)
+        composed = u0
+        for _ in range(3):
+            composed = exact_evolve(composed, system, h)
+        residual = np.abs(direct.coeffs - composed.coeffs).max() / np.abs(u0.coeffs).max()
+        assert residual <= 4 * amplification * unit
 
     @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
     def test_weighted_energy_non_increasing(self, name):
