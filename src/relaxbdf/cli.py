@@ -25,7 +25,7 @@ from .harness import ExperimentConfig, emit_table, run_convergence_study
 from .integrator import UnsupportedOrderError, bdf_coefficients
 from .models import MODEL_BUILDERS, build_model, initial_data
 from .oracle import exact_evolve
-from .system import _parse_number, check_structural_stability
+from .system import SymmetrizerNotFoundError, _parse_number, check_structural_stability
 from .theory import (
     fit_order,
     multiplier_data,
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
         if args.command == "verify-theory":
             return _cmd_verify_theory(args)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, SymmetrizerNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -2,13 +2,14 @@
 
 Everything downstream (implicit solves, stability certificates, per-mode
 propagators) works with constant matrices of size n <= ~16, so this module
-implements the few factorizations it needs directly instead of pulling in a
-LAPACK wrapper: partial-pivoting LU, a pivoted Cholesky probe and a
+implements two kernels directly: a partial-pivoting LU and a
 scaling-and-squaring matrix exponential.  The LU stays hand-written because
 the exponential solves in long double on deep squaring chains, a dtype
-``numpy.linalg`` rejects.  Symmetric eigenproblems go to
-``numpy.linalg.eigh``.  All routines are deterministic and operate on plain
-``numpy`` arrays.
+``numpy.linalg`` rejects.  The definiteness checks of the stability
+certificate (``is_spd``, ``is_negative_semidefinite``) take
+``numpy.linalg.eigvalsh`` of the symmetric part and report a
+:class:`ConditionCheck`.  All routines are deterministic and operate on
+plain ``numpy`` arrays.
 
 The LU and the exponential also take a stack of matrices ``(K, n, n)``, a
 single matrix being a stack of one, and treat every slice exactly as they
@@ -25,9 +26,8 @@ import numpy as np
 
 __all__ = [
     "SingularMatrixError",
-    "NotSymmetricError",
     "ExponentialOverflowError",
-    "DefinitenessReport",
+    "ConditionCheck",
     "LUFactorization",
     "validate_matrix",
     "lu_factor",
@@ -47,10 +47,6 @@ MAX_SQUARINGS = 64
 
 class SingularMatrixError(ArithmeticError):
     """A pivot fell below the singularity threshold during factorization."""
-
-
-class NotSymmetricError(ValueError):
-    """An operation that requires a symmetric matrix received an asymmetric one."""
 
 
 class ExponentialOverflowError(OverflowError):
@@ -281,16 +277,21 @@ def matrix_exponential(matrix, t: float = 1.0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DefinitenessReport:
-    """Boolean verdict plus the witness that justifies a ``False``."""
+class ConditionCheck:
+    """Verdict of one check; ``value`` is the figure that decided it (an
+    eigenvalue, a residual or an asymmetry) and ``detail`` names it."""
 
     passed: bool
+    value: float
     detail: str
-    pivot_index: int | None = None  # 1-based index of the failing pivot, if any
-    value: float | None = None
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def symmetry_residual(matrix) -> float:
@@ -298,46 +299,32 @@ def symmetry_residual(matrix) -> float:
     return float(np.abs(a - a.T).max())
 
 
-def is_spd(matrix, tol: float = 1e-10) -> DefinitenessReport:
-    """Check symmetric positive-definiteness via pivoted Cholesky.
+def _eigenvalue_check(matrix, tol: float, *, largest: bool, bound: float, name: str) -> ConditionCheck:
+    """Judge one end of the spectrum of a real symmetric matrix.
 
-    Total function: asymmetry or a non-positive pivot yields a failing report
-    carrying the offending residual or pivot instead of raising.
+    A matrix that is not symmetric within ``tol`` fails with its asymmetry as
+    the value; an imaginary part counts as asymmetry.  Otherwise the value is
+    the largest eigenvalue of the symmetric part, passing when ``<= bound``,
+    or the smallest, passing when ``> bound``.
     """
-    a = validate_matrix(matrix, stack=False, name="is_spd input")
-    if a.dtype.kind == "c":
-        if np.abs(a.imag).max() > tol:
-            return DefinitenessReport(False, "matrix has a non-real part", value=float(np.abs(a.imag).max()))
-        a = a.real.copy()
-    residual = symmetry_residual(a)
-    if residual > tol:
-        return DefinitenessReport(False, f"asymmetry {residual:.3e} exceeds tol", value=residual)
-    n = a.shape[0]
-    chol = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - chol[j, :j] @ chol[j, :j]
-        if pivot <= tol:
-            return DefinitenessReport(
-                False, f"Cholesky pivot {j + 1} is {pivot:.3e}", pivot_index=j + 1, value=float(pivot)
-            )
-        chol[j, j] = math.sqrt(pivot)
-        for i in range(j + 1, n):
-            chol[i, j] = (a[i, j] - chol[i, :j] @ chol[j, :j]) / chol[j, j]
-    return DefinitenessReport(True, "symmetric positive-definite")
+    _check_tol(tol)
+    a = validate_matrix(matrix, stack=False, name=f"{name} input")
+    asymmetry = max(symmetry_residual(a), float(np.abs(a.imag).max()))
+    if asymmetry > tol:
+        return ConditionCheck(False, asymmetry, f"asymmetry exceeds tol {tol:.1e}")
+    eigenvalues = np.linalg.eigvalsh(0.5 * (a + a.T).real)
+    if largest:
+        value = float(eigenvalues[-1])
+        return ConditionCheck(value <= bound, value, "largest eigenvalue")
+    value = float(eigenvalues[0])
+    return ConditionCheck(value > bound, value, "smallest eigenvalue")
 
 
-def is_negative_semidefinite(matrix, tol: float = 1e-10) -> DefinitenessReport:
-    """Check ``matrix <= 0`` (as a quadratic form) via its largest eigenvalue.
+def is_spd(matrix, tol: float = 1e-10) -> ConditionCheck:
+    """Symmetric within ``tol`` with smallest eigenvalue above ``tol``."""
+    return _eigenvalue_check(matrix, tol, largest=False, bound=tol, name="is_spd")
 
-    Raises ``NotSymmetricError`` when the symmetry residual exceeds ``tol``.
-    """
-    a = validate_matrix(matrix, stack=False, name="is_negative_semidefinite input")
-    if a.dtype.kind == "c":
-        a = a.real.copy()
-    residual = symmetry_residual(a)
-    if residual > tol:
-        raise NotSymmetricError(f"asymmetry {residual:.3e} exceeds tol {tol:.3e}")
-    largest = float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
-    if largest <= tol:
-        return DefinitenessReport(True, f"max eigenvalue {largest:.3e}", value=largest)
-    return DefinitenessReport(False, f"max eigenvalue {largest:.3e} exceeds tol", value=largest)
+
+def is_negative_semidefinite(matrix, tol: float = 1e-10) -> ConditionCheck:
+    """Symmetric within ``tol`` with largest eigenvalue at most ``tol``."""
+    return _eigenvalue_check(matrix, tol, largest=True, bound=tol, name="is_negative_semidefinite")

@@ -17,6 +17,7 @@ well prepared for the higher-order schemes.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -250,6 +251,12 @@ def build_model(name: str, epsilon: float = 1.0, **overrides) -> ModelSpec:
         raise InvalidParameterError(
             f"unknown model {name!r}; available: {sorted(MODEL_BUILDERS)}"
         ) from exc
+    parameters = [p for p in inspect.signature(builder).parameters if p != "epsilon"]
+    unknown = sorted(set(overrides) - set(parameters))
+    if unknown:
+        raise InvalidParameterError(
+            f"model {name!r} has no parameters {unknown}; its parameters are {parameters}"
+        )
     return builder(epsilon=epsilon, **overrides)
 
 

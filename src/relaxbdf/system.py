@@ -11,12 +11,16 @@ structural stability conditions for a candidate witness ``(P, A0)``:
   (iii) ``A0 Q + Q^T A0 + P^T diag(0, I_r) P`` is negative semidefinite,
 
 plus the extra requirement that the transformed symmetrizer is block
-diagonal with ``A02 * S_hat`` symmetric negative-definite.
+diagonal with ``A02 * S_hat`` symmetric negative-definite.  Each condition
+is reported as a :class:`ConditionCheck`.  The three definiteness questions
+(``A0`` SPD, (iii) and ``A02 * S_hat``) check symmetry within ``tol`` and
+then take ``numpy.linalg.eigvalsh`` of the symmetric part; their ``value``
+is the deciding eigenvalue, or the asymmetry when that check fails.
 
 :func:`find_symmetrizer` builds witnesses with ``P = I`` for normal-form
 systems.  It scans directions of the symmetric block-diagonal ``A0`` with
-``A0 A`` symmetric, on a fixed coefficient grid and within a fixed budget of
-directions.  Only (iii) depends on the scale ``c`` of a direction; it reads
+``A0 A`` symmetric (the null space of that linear constraint, from an SVD),
+on a fixed coefficient grid and within a fixed budget of directions.  Only (iii) depends on the scale ``c`` of a direction; it reads
 ``2c A02 S_hat + I <= 0`` and so fixes ``c = -1/(2 lam)`` in closed form,
 where ``lam < 0`` is the largest eigenvalue of ``A02 S_hat``.  The verifier
 above judges every witness the search returns.
@@ -33,9 +37,10 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .linalg import (
-    DefinitenessReport,
-    NotSymmetricError,
+    ConditionCheck,
     SingularMatrixError,
+    _check_tol,
+    _eigenvalue_check,
     inverse,
     is_negative_semidefinite,
     is_spd,
@@ -200,16 +205,6 @@ class StabilityWitness:
 
 
 @dataclass(frozen=True)
-class ConditionCheck:
-    passed: bool
-    residual: float
-    detail: str
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-@dataclass(frozen=True)
 class CertificateReport:
     """Per-condition outcome of a structural stability check."""
 
@@ -246,7 +241,7 @@ class CertificateReport:
         ]
         for label, check in labels:
             status = "PASS" if check.passed else "FAIL"
-            lines.append(f"  [{status}] {label}: residual {check.residual:.3e} ({check.detail})")
+            lines.append(f"  [{status}] {label}: {check.value:.3e} ({check.detail})")
         lines.append("  overall: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
@@ -268,6 +263,7 @@ def check_structural_stability(system, witness: StabilityWitness, tol: float = 1
     source)`` pair; the latter lets a witness with a nontrivial transform be
     certified against the untransformed matrices.
     """
+    _check_tol(tol)
     conv, src = _system_matrices(system)
     n = conv.shape[0]
     r = witness.stiff_size
@@ -298,36 +294,17 @@ def check_structural_stability(system, witness: StabilityWitness, tol: float = 1
         stiff_ok = False
         stiff_detail = f"stiff block singular: {exc}"
     normal_form = ConditionCheck(
-        passed=off_residual <= tol and stiff_ok,
-        residual=off_residual,
-        detail=stiff_detail,
+        off_residual <= tol and stiff_ok, off_residual, f"off-block residual; {stiff_detail}"
     )
 
     # (ii): A0 SPD and A0*A symmetric.
-    spd_report: DefinitenessReport = is_spd(symmetrizer, tol)
-    symmetrizer_spd = ConditionCheck(
-        passed=spd_report.passed,
-        residual=0.0 if spd_report.value is None else float(spd_report.value),
-        detail=spd_report.detail,
-    )
+    symmetrizer_spd = is_spd(symmetrizer, tol)
     sym_residual = symmetry_residual(symmetrizer @ conv)
-    convection_symmetry = ConditionCheck(
-        passed=sym_residual <= tol,
-        residual=sym_residual,
-        detail="A0*A symmetry residual",
-    )
+    convection_symmetry = ConditionCheck(sym_residual <= tol, sym_residual, "A0*A asymmetry")
 
     # (iii): A0 Q + Q^T A0 + P^T diag(0, I_r) P <= 0.
     coupling = symmetrizer @ src + src.T @ symmetrizer + transform.T @ _stiff_projector(n, r) @ transform
-    try:
-        nsd_report = is_negative_semidefinite(coupling, max(tol, 1e-12))
-        dissipation = ConditionCheck(
-            passed=nsd_report.passed,
-            residual=0.0 if nsd_report.value is None else float(nsd_report.value),
-            detail="max eigenvalue of the dissipation matrix",
-        )
-    except NotSymmetricError as exc:
-        dissipation = ConditionCheck(False, float("inf"), str(exc))
+    dissipation = is_negative_semidefinite(coupling, max(tol, 1e-12))
 
     # Transformed symmetrizer must be block diagonal; its stiff block couples
     # with the stiff source block symmetrically and negative-definitely.
@@ -335,21 +312,15 @@ def check_structural_stability(system, witness: StabilityWitness, tol: float = 1
     cross = normal_symmetrizer[:bulk, bulk:]
     cross_residual = float(np.abs(cross).max()) if cross.size else 0.0
     block_structure = ConditionCheck(
-        passed=cross_residual <= tol,
-        residual=cross_residual,
-        detail="off-block magnitude of P^-T A0 P^-1",
+        cross_residual <= tol, cross_residual, "off-block magnitude of P^-T A0 P^-1"
     )
-    product = normal_symmetrizer[bulk:, bulk:] @ stiff_block
-    product_sym = symmetry_residual(product)
-    if product_sym <= max(tol, 1e-10):
-        largest = float(np.linalg.eigvalsh(0.5 * (product + product.T))[-1])
-        stiff_coupling = ConditionCheck(
-            passed=largest <= -tol,
-            residual=largest,
-            detail="max eigenvalue of A02*S_hat",
-        )
-    else:
-        stiff_coupling = ConditionCheck(False, product_sym, "A02*S_hat asymmetric")
+    stiff_coupling = _eigenvalue_check(
+        normal_symmetrizer[bulk:, bulk:] @ stiff_block,
+        max(tol, 1e-10),
+        largest=True,
+        bound=-tol,
+        name="A02*S_hat",
+    )
 
     return CertificateReport(
         normal_form=normal_form,
@@ -414,7 +385,9 @@ def find_transform(source, tol: float = 1e-10) -> np.ndarray:
     The top rows span the left null space of the source (eigenvectors of
     ``Q Q^T`` at eigenvalue 0) and the bottom rows span its row space
     (eigenvectors of ``Q^T Q`` at nonzero eigenvalues).  Each row is rescaled
-    by its largest-magnitude entry for readability.  Fails with
+    by its largest-magnitude entry for readability.  The rows, in this order,
+    define the normal-form variables of the Broadwell model, so they stay on
+    ``eigh`` (an SVD orders a degenerate null space differently).  Fails with
     ``NotNormalFormError`` when the source has a nilpotent part.
     """
     src = validate_matrix(source, stack=False, name="source")
@@ -476,13 +449,11 @@ def _symmetrizer_solution_space(system: RelaxationSystem, tol: float = 1e-10) ->
         asym = mat @ conv - conv.T @ mat
         rows.append(asym[np.triu_indices(n, k=1)])
     constraint = np.array(rows).T  # (n(n-1)/2, d)
-    if constraint.size == 0 or np.abs(constraint).max() == 0.0:
-        null_vectors = [np.eye(len(basis))[:, i] for i in range(len(basis))]
-    else:
-        gram = constraint.T @ constraint
-        eigenvalues, vectors = np.linalg.eigh(0.5 * (gram + gram.T))
-        cutoff = tol * max(float(eigenvalues[-1]), 1.0)
-        null_vectors = [vectors[:, i] for i in range(len(basis)) if eigenvalues[i] <= cutoff]
+    # The trailing rows of vt span the null space; an SVD of the constraint
+    # itself keeps its conditioning (its Gram matrix would square it).
+    _, singular, vt = np.linalg.svd(constraint)
+    rank = int(np.count_nonzero(singular > tol * max(np.max(singular, initial=0.0), 1.0)))
+    null_vectors = vt[rank:]
     space = []
     for vec in null_vectors:
         candidate = sum(c * mat for c, mat in zip(vec, basis))
@@ -511,8 +482,8 @@ def find_symmetrizer(system: RelaxationSystem, tol: float = 1e-10) -> StabilityW
     """Search for a block-diagonal symmetrizer certifying a normal-form system.
 
     The symmetric block-diagonal candidates satisfying the linear constraint
-    ``A0 A = A^T A0`` form a subspace; its basis is found by a least-squares
-    (Gram-matrix) null-space computation.  Directions in that subspace are
+    ``A0 A = A^T A0`` form a subspace; its basis is the null space of that
+    constraint, from an SVD.  Directions in that subspace are
     scanned on the coefficient grid ``_SEARCH_TICKS`` in ``itertools.product``
     order, at most ``_SEARCH_BUDGET`` of them.
 
@@ -528,6 +499,7 @@ def find_symmetrizer(system: RelaxationSystem, tol: float = 1e-10) -> StabilityW
     Raises ``SymmetrizerNotFoundError`` with the number of directions scanned
     when none passes.
     """
+    _check_tol(tol)
     space = _symmetrizer_solution_space(system)
     if not space:
         raise SymmetrizerNotFoundError("constraint A0*A = A^T*A0 admits only A0 = 0")
@@ -545,13 +517,12 @@ def find_symmetrizer(system: RelaxationSystem, tol: float = 1e-10) -> StabilityW
             continue
         scanned += 1
         direction = sum(c * mat for c, mat in zip(combo, space))
-        coupling = direction[bulk:, bulk:] @ system.stiff_block
-        if symmetry_residual(coupling) > tol:
+        coupling = _eigenvalue_check(
+            direction[bulk:, bulk:] @ system.stiff_block, tol, largest=True, bound=0.0, name="A02*S_hat"
+        )
+        if not (coupling.passed and coupling.value < 0.0):
             continue
-        largest = float(np.linalg.eigvalsh(0.5 * (coupling + coupling.T))[-1])
-        if not largest < 0.0:
-            continue
-        candidate = direction * (-0.5 / largest)
+        candidate = direction * (-0.5 / coupling.value)
         witness = StabilityWitness(ident, candidate, stiff_size=system.stiff_size)
         if check_structural_stability(system, witness, tol).passed:
             return _integer_like_rescale(system, candidate, tol) or witness

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrator import BDFCoefficients, UnsupportedOrderError, bdf_coefficients
-from .linalg import is_spd
+from .linalg import is_negative_semidefinite, is_spd
 from .spectral import SpectralField, field_inner_product
 from .system import RelaxationSystem, StabilityWitness
 
@@ -63,7 +63,7 @@ class MultiplierData:
             raise ValueError("damping coefficient must be positive")
         if not is_spd(g, 1e-12):
             raise ValueError("energy form must be positive definite")
-        if a.size and np.linalg.eigvalsh(0.5 * (a + a.T))[0] < -1e-12:
+        if a.size and not is_negative_semidefinite(-a, 1e-12):
             raise ValueError("history form must be positive semidefinite")
         for name, value in (("energy_form", g), ("history_form", a)):
             value.setflags(write=False)
@@ -173,6 +173,8 @@ def verify_multiplier_identity(
     """
     if data.q != coeffs.q:
         raise ValueError("multiplier data and scheme coefficients disagree on the order")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(0) if rng is None else rng
     scalar_tuples = rng.uniform(-1.0, 1.0, size=(samples, data.q + 1, 1))
     worst = _identity_residuals(data, coeffs, scalar_tuples, None)

@@ -16,6 +16,11 @@ class TestCheckStability:
     def test_broadwell_needs_looser_tolerance_than_zero(self):
         assert main(["check-stability", "--model", "broadwell", "--tol", "1e-8"]) == 0
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+    def test_invalid_tol_is_usage_error(self, tol, capsys):
+        assert main(["check-stability", "--model", "grad", "--tol", tol]) == 1
+        assert "error: tol must be finite and positive" in capsys.readouterr().err
+
 
 def test_model_choices_follow_the_registry(monkeypatch):
     monkeypatch.setitem(MODEL_BUILDERS, "grad3", lambda epsilon=1.0: make_grad(3, epsilon))
@@ -30,6 +35,10 @@ class TestVerifyTheory:
         assert main(["verify-theory", "--q", "2", "--samples", "200"]) == 0
         out = capsys.readouterr().out
         assert "multiplier identities" in out and "PASS" in out
+
+    def test_zero_samples_is_usage_error(self, capsys):
+        assert main(["verify-theory", "--q", "2", "--samples", "0"]) == 1
+        assert "error: samples must be at least 1, got 0" in capsys.readouterr().err
 
     def test_fourth_order_skips_multiplier(self, capsys):
         assert main(["verify-theory", "--q", "4", "--samples", "10"]) == 0
@@ -84,6 +93,28 @@ class TestRun:
         path.write_text(json.dumps({"order": 2, "epsilons": [1.0], "dts": ["1/20"], "t_final": 1}))
         assert main(["run", "--config", str(path)]) == 1
         assert "missing required fields: ['model']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"foo": 1}, "error: model 'arz' has no parameters ['foo']; its parameters are ['c0',"),
+            ({"c0": -3}, "error: no witness among 16 directions"),
+        ],
+    )
+    def test_bad_model_overrides_are_usage_errors(self, tmp_path, capsys, overrides, message):
+        config = {
+            "model": "arz",
+            "order": 2,
+            "epsilons": [1.0],
+            "dts": ["1/20"],
+            "t_final": 1,
+            "overrides": overrides,
+        }
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_failed_cells_exit_code(self, tmp_path):
         code = main(

@@ -4,7 +4,6 @@ import pytest
 from relaxbdf.linalg import (
     MAX_SQUARINGS,
     ExponentialOverflowError,
-    NotSymmetricError,
     SingularMatrixError,
     is_negative_semidefinite,
     is_spd,
@@ -200,7 +199,6 @@ class TestDefiniteness:
     def test_indefinite_witness_pivot(self):
         report = is_spd(np.diag([1.0, -1.0]))
         assert not report
-        assert report.pivot_index == 2
         assert report.value == pytest.approx(-1.0)
 
     def test_asymmetric_fails(self):
@@ -219,9 +217,14 @@ class TestDefiniteness:
         assert not report
         assert report.value == pytest.approx(0.5, abs=1e-12)
 
+    def test_imaginary_part_counts_as_asymmetry(self):
+        for check in (is_spd, is_negative_semidefinite):
+            report = check(np.diag([1.0, -1.0]) * 1j * 1e-3)
+            assert not report and report.value == pytest.approx(1e-3)
+
     def test_nsd_requires_symmetry(self):
-        with pytest.raises(NotSymmetricError):
-            is_negative_semidefinite(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        report = is_negative_semidefinite(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert not report and "asymmetry" in report.detail
 
     def test_moment_model_coupling_matrix(self):
         # With identity witness the 6x6 moment-system coupling matrix reduces
@@ -261,6 +264,12 @@ class TestValidation:
         for shape in [(2,), (0, 2, 2), (2, 2, 2, 2)]:
             with pytest.raises(ValueError, match="2-D matrix or a stack"):
                 validate_matrix(np.zeros(shape))
+
+    @pytest.mark.parametrize("check", [is_spd, is_negative_semidefinite])
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_definiteness_checks_reject_bad_tol(self, check, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            check(np.eye(2), tol)
 
     @pytest.mark.parametrize("check", [is_spd, is_negative_semidefinite])
     def test_definiteness_checks_reject_stacks(self, check):

@@ -124,6 +124,12 @@ class TestRegistry:
         with pytest.raises(InvalidParameterError):
             build_model("navier-stokes")
 
+    def test_unknown_parameter_names_the_parameters(self):
+        with pytest.raises(InvalidParameterError, match=r"no parameters \['foo'\].*'c0'"):
+            build_model("arz", foo=1.0)
+        with pytest.raises(InvalidParameterError, match=r"its parameters are \[\]"):
+            build_model("broadwell", moments=4)
+
 
 class TestInitialData:
     def test_arz_equilibrium_data_has_zero_stiff_part(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,14 @@ class TestMultiplierData:
     def test_higher_orders_not_transcribed(self, q):
         with pytest.raises(UnsupportedOrderError):
             multiplier_data(q)
+
+
+    def test_forms_are_checked(self):
+        data = multiplier_data(2)
+        with pytest.raises(ValueError, match="energy form must be positive definite"):
+            replace(data, energy_form=-data.energy_form)
+        with pytest.raises(ValueError, match="history form must be positive semidefinite"):
+            replace(data, history_form=np.array([[-1e-3]]))
 
 
 class TestIdentities:
@@ -110,6 +120,11 @@ class TestIdentities:
             )
         )
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            verify_multiplier_identity(multiplier_data(1), bdf_coefficients(1), samples=samples)
 
     def test_mismatched_orders_rejected(self):
         with pytest.raises(ValueError):
