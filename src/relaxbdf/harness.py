@@ -225,10 +225,8 @@ def run_convergence_study(
                     startup=config.startup,
                 )
                 error = error_metric(final, reference)
-            except Exception:
-                logger.exception(
-                    "cell failed: epsilon=%g dt=%g", epsilon, dt
-                )
+            except Exception as exc:
+                logger.exception("cell failed: epsilon=%g dt=%g: %s", epsilon, dt, exc)
                 rows.append(TableRow(epsilon, dt, None, None))
                 previous = None
                 continue

@@ -12,6 +12,15 @@ the stiff source implicitly.  Because the implicit matrix
 factored (with the singular-pivot check) and inverted once per run; each step
 then applies the inverse to all modes with one matrix product.
 
+A step works on the float64 views (2N+1, 2n) of the complex coefficients
+(real and imaginary parts side by side).  The convection product, with the
+factor i of ``d_x`` folded in, and the implicit inverse are real block forms
+built once per run, so both products are plain float64 matrix products.  The
+weighted sums keep the complex step's operations and order, so a step is
+bit-identical to its complex form (up to the sign of exact zeros).  A step
+that overflows or makes a NaN raises ``NonFiniteStepError`` naming the step,
+eps and dt.
+
 Startup values for q >= 2 apply one per-mode map of a step ``dt`` q-1
 times: the exact propagator ("exact", the default for testing) or N refined
 substeps of an ARS-type IMEX Runge-Kutta scheme ("ars:N", or "ars" for
@@ -24,6 +33,7 @@ binary powering in increment form gives ``R_k^N = I + E`` and a slab is one
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,6 +48,7 @@ from .system import RelaxationSystem
 __all__ = [
     "UnsupportedOrderError",
     "NonIntegerStepCountError",
+    "NonFiniteStepError",
     "BDFCoefficients",
     "bdf_coefficients",
     "SolverState",
@@ -112,20 +123,40 @@ def bdf_coefficients(q: int) -> BDFCoefficients:
 
 @dataclass
 class SolverState:
-    """Mutable per-run state: the history ring plus the cached implicit solve.
+    """Mutable per-run state: the history ring plus the per-run constants.
 
-    ``history[i]`` holds the coefficients of ``u^{n+i}`` (oldest first) as a
-    complex array of shape (2N+1, n).  ``implicit_inverse`` is the real n x n
-    inverse of ``alpha_q I - beta dt/eps Q``.
+    ``history[i]`` holds the coefficients of ``u^{n+i}`` (oldest first) as the
+    float64 view, shape (2N+1, 2n), of a complex (2N+1, n) array: columns 2j
+    and 2j+1 are the real and imaginary parts of component j.  The constants
+    act on such views from the right:
+
+    * ``convection_block`` is ``kron(A^T, [[0, 1], [-1, 0]])``, the product
+      with ``i A`` (the factor i of ``d_x`` folded in);
+    * ``implicit_block`` is ``kron(inv(alpha_q I - beta dt/eps Q)^T, I_2)``;
+    * ``scaled_wavenumbers`` is the column ``dt * kappa`` repeated over the
+      2n columns (a contiguous operand is scaled faster than a broadcast one).
+
+    ``alpha`` and ``gamma`` are the scheme weights as 0-d float64 arrays,
+    which a ufunc takes without converting a scalar on every call, and
+    ``scratch`` holds the step's three temporaries (2N+1, 2n); no field
+    returned by a step lives in it.
     """
 
     history: list[np.ndarray]
     step_index: int
     dt: float
-    implicit_inverse: np.ndarray
-    wavenumbers: np.ndarray
+    convection_block: np.ndarray
+    implicit_block: np.ndarray
+    scaled_wavenumbers: np.ndarray
+    alpha: tuple[np.ndarray, ...]
+    gamma: tuple[np.ndarray, ...]
+    scratch: np.ndarray
     domain_length: float
     real_valued: bool
+
+
+# Right factor of a real view that multiplies each complex entry by i.
+_TIMES_I = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _implicit_matrix(system: RelaxationSystem, coeffs: BDFCoefficients, dt: float) -> np.ndarray:
@@ -152,47 +183,87 @@ def make_solver_state(
         raise ValueError(
             f"fields have {first.n} components but system dimension is {system.dimension}"
         )
+    n = system.dimension
+    inverse = lu_factor(_implicit_matrix(system, coeffs, dt)).solve(np.eye(n))
+    views = [np.array(f.coeffs).view(np.float64) for f in history]
     return SolverState(
-        history=[np.array(f.coeffs) for f in history],
+        history=views,
         step_index=0,
         dt=dt,
-        implicit_inverse=lu_factor(_implicit_matrix(system, coeffs, dt)).solve(
-            np.eye(system.dimension)
-        ),
-        wavenumbers=first.wavenumbers,
+        convection_block=np.kron(np.asarray(system.convection, dtype=float).T, _TIMES_I),
+        implicit_block=np.kron(inverse.T, np.eye(2)),
+        scaled_wavenumbers=np.repeat((dt * first.wavenumbers)[:, np.newaxis], 2 * n, axis=1),
+        alpha=tuple(np.array(a) for a in coeffs.alpha),
+        gamma=tuple(np.array(g) for g in coeffs.gamma),
+        scratch=np.empty((3,) + views[0].shape),
         domain_length=first.domain_length,
         real_valued=all(f.real_valued for f in history),
     )
 
 
-def _advance(state: SolverState, system: RelaxationSystem, coeffs: BDFCoefficients) -> np.ndarray:
-    alpha, gamma = coeffs.alpha, coeffs.gamma
-    q = coeffs.q
-    newest = state.history[-1]
+def _advance(state: SolverState) -> np.ndarray:
+    """One step on the real views; returns the new view (a fresh array).
+
+    The operations are those of the complex step, in the same order, so the
+    result is bit-identical to it up to the sign of exact zeros.
+    """
+    history, alpha, gamma = state.history, state.alpha, state.gamma
+    rhs, extrapolated, term = state.scratch
+    newest = history[-1]
     # Difference form of -sum_{i<q} alpha_i u^{n+i}: identical algebraically
     # (the alphas sum to zero) but exact when the history is constant, which
-    # keeps conserved k=0 components free of drift.
-    rhs = newest.copy()
-    for i in range(q - 1):
-        rhs -= alpha[i] * (state.history[i] - newest)
-    extrapolated = gamma[0] * state.history[0]
-    for i in range(1, q):
-        extrapolated += gamma[i] * state.history[i]
-    convected = extrapolated @ np.asarray(system.convection).T
-    rhs -= (state.dt * 1j * state.wavenumbers)[:, np.newaxis] * convected
-    new = rhs @ state.implicit_inverse.T
-    state.history.pop(0)
-    state.history.append(new)
+    # keeps conserved k=0 components free of drift.  The first subtraction
+    # reads ``newest`` directly, so no copy of it is made.
+    minuend = newest
+    for i in range(len(history) - 1):
+        np.subtract(history[i], newest, term)
+        np.multiply(term, alpha[i], term)
+        np.subtract(minuend, term, rhs)
+        minuend = rhs
+    np.multiply(history[0], gamma[0], extrapolated)
+    for i in range(1, len(history)):
+        np.multiply(history[i], gamma[i], term)
+        np.add(extrapolated, term, extrapolated)
+    # i * dt * kappa * (A u): the i sits in convection_block.
+    np.dot(extrapolated, state.convection_block, term)
+    np.multiply(term, state.scaled_wavenumbers, term)
+    np.subtract(minuend, term, rhs)
+    new = np.dot(rhs, state.implicit_block)
+    history.pop(0)
+    history.append(new)
     state.step_index += 1
     return new
+
+
+class NonFiniteStepError(ValueError):
+    """A step overflowed or produced a non-finite value: the run blew up."""
+
+
+@contextmanager
+def _blow_up_check(state: SolverState, system: RelaxationSystem):
+    """Turn an overflow or invalid operation of the steps inside into
+    ``NonFiniteStepError``, naming the step that raised it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteStepError(
+            f"non-finite value in BDF step {state.step_index + 1} "
+            f"(eps={system.epsilon:g}, dt={state.dt:g}): {exc}"
+        ) from exc
 
 
 def imex_bdf_step(
     state: SolverState, system: RelaxationSystem, coeffs: BDFCoefficients
 ) -> SpectralField:
-    """Advance the state by one step and return the new field."""
-    new = _advance(state, system, coeffs)
-    return SpectralField(new, state.domain_length, state.real_valued)
+    """Advance the state by one step and return the new field.
+
+    ``system`` and ``coeffs`` must be those the state was made from; the
+    state holds the constants derived from them.
+    """
+    with _blow_up_check(state, system):
+        new = _advance(state)
+    return SpectralField(new.view(np.complex128), state.domain_length, state.real_valued)
 
 
 # -- ARS IMEX Runge-Kutta startup ---------------------------------------------
@@ -425,7 +496,7 @@ def run(
     if total == q - 1:
         return history[-1]
     state = make_solver_state(history, system, coeffs, dt)
-    final = None
-    for _ in range(total - (q - 1)):
-        final = _advance(state, system, coeffs)
-    return SpectralField(final, state.domain_length, state.real_valued)
+    with _blow_up_check(state, system):
+        for _ in range(total - (q - 1)):
+            final = _advance(state)
+    return SpectralField(final.view(np.complex128), state.domain_length, state.real_valued)

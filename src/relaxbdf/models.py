@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -251,12 +252,20 @@ def build_model(name: str, epsilon: float = 1.0, **overrides) -> ModelSpec:
         raise InvalidParameterError(
             f"unknown model {name!r}; available: {sorted(MODEL_BUILDERS)}"
         ) from exc
-    parameters = [p for p in inspect.signature(builder).parameters if p != "epsilon"]
+    signature = inspect.signature(builder).parameters
+    parameters = [p for p in signature if p != "epsilon"]
     unknown = sorted(set(overrides) - set(parameters))
     if unknown:
         raise InvalidParameterError(
             f"model {name!r} has no parameters {unknown}; its parameters are {parameters}"
         )
+    for key, value in overrides.items():
+        kind = numbers.Integral if isinstance(signature[key].default, int) else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+            raise InvalidParameterError(
+                f"model {name!r} parameter {key!r} must be a finite "
+                f"{'integer' if kind is numbers.Integral else 'number'}, got {value!r}"
+            )
     return builder(epsilon=epsilon, **overrides)
 
 

@@ -36,6 +36,13 @@ class TestVerifyTheory:
         out = capsys.readouterr().out
         assert "multiplier identities" in out and "PASS" in out
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+    def test_invalid_tol_is_usage_error(self, tol, capsys):
+        assert main(["verify-theory", "--q", "2", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert "error: tol must be finite and positive" in captured.err
+        assert "FAIL" not in captured.out
+
     def test_zero_samples_is_usage_error(self, capsys):
         assert main(["verify-theory", "--q", "2", "--samples", "0"]) == 1
         assert "error: samples must be at least 1, got 0" in capsys.readouterr().err
@@ -99,6 +106,7 @@ class TestRun:
         [
             ({"foo": 1}, "error: model 'arz' has no parameters ['foo']; its parameters are ['c0',"),
             ({"c0": -3}, "error: no witness among 16 directions"),
+            ({"c0": "abc"}, "error: model 'arz' parameter 'c0' must be a finite number, got 'abc'"),
         ],
     )
     def test_bad_model_overrides_are_usage_errors(self, tmp_path, capsys, overrides, message):

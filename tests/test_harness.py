@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,17 @@ class TestStudy:
         assert "ERROR" in text
         assert "mode k=0 at t=1, eps=1e-300: |t*matrix|_1" in caplog.text
         assert "squarings (cap 64)" in caplog.text
+
+    def test_blown_up_cell_is_error_row_naming_the_step(self, caplog):
+        config = ExperimentConfig(model="arz", order=4, epsilons=(1.0,), dts=(0.5,),
+                                  t_final=500.0, startup="exact")
+        with caplog.at_level(logging.ERROR, logger="relaxbdf.harness"):
+            table = run_convergence_study(config)
+        assert [row.l2_error for row in table.rows] == [None]
+        assert "ERROR" in emit_table(table, "csv")
+        [record] = caplog.records
+        assert re.search(r"cell failed: epsilon=1 dt=0\.5: non-finite value in BDF step \d+ "
+                         r"\(eps=1, dt=0\.5\)", record.getMessage())
 
     def test_order_without_initial_data_rejected_before_first_block(self, caplog):
         config = small_config(model="arz", order=1)

@@ -6,6 +6,7 @@ import pytest
 from relaxbdf.harness import compute_error
 from relaxbdf.linalg import SingularMatrixError, lu_factor
 from relaxbdf.integrator import (
+    NonFiniteStepError,
     NonIntegerStepCountError,
     UnsupportedOrderError,
     ars_startup,
@@ -192,6 +193,61 @@ class TestStep:
             stepped = imex_bdf_step(state, system, coeffs)
             errors.append(compute_error(stepped, exact_evolve(u0, system, dt)))
         assert fit_order(dts, errors) == pytest.approx(2.0, abs=0.1)
+
+
+def complex_step(history, system, coeffs, dt, wavenumbers, inverse):
+    """The step in complex arithmetic, the reference for the real-view kernel."""
+    alpha, gamma, q = coeffs.alpha, coeffs.gamma, coeffs.q
+    newest = history[-1]
+    rhs = newest.copy()
+    for i in range(q - 1):
+        rhs -= alpha[i] * (history[i] - newest)
+    extrapolated = gamma[0] * history[0]
+    for i in range(1, q):
+        extrapolated += gamma[i] * history[i]
+    convected = extrapolated @ np.asarray(system.convection).T
+    rhs -= (dt * 1j * wavenumbers)[:, np.newaxis] * convected
+    return rhs @ inverse.T
+
+
+class TestRealViewStep:
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-8])
+    def test_matches_complex_step_bitwise(self, name, q, epsilon):
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        coeffs = bdf_coefficients(q)
+        dt = 1e-3
+        u0 = initial_data(model, max(q, 2), 16, epsilon)
+        fields = [exact_evolve(u0, system, i * dt) for i in range(q)]
+        state = make_solver_state(fields, system, coeffs, dt)
+        matrix = coeffs.alpha[-1] * np.eye(system.dimension) - (
+            coeffs.beta * dt / epsilon
+        ) * np.asarray(system.source)
+        inverse = lu_factor(matrix).solve(np.eye(system.dimension))
+        history = [np.array(f.coeffs) for f in fields]
+        for _ in range(50):
+            expected = complex_step(history, system, coeffs, dt, u0.wavenumbers, inverse)
+            history = history[1:] + [expected]
+            stepped = imex_bdf_step(state, system, coeffs)
+            assert np.array_equal(stepped.coeffs, expected)
+
+    def test_returned_field_survives_later_steps(self):
+        model = build_model("broadwell")
+        system = model.system_at(1e-2)
+        q = 3
+        coeffs = bdf_coefficients(q)
+        u0 = initial_data(model, q, 8, 1e-2)
+        state = make_solver_state([u0] * q, system, coeffs, dt=1e-2)
+        first = imex_bdf_step(state, system, coeffs)
+        kept, ring = first.coeffs.copy(), state.history[-1]
+        for _ in range(q - 1):
+            imex_bdf_step(state, system, coeffs)
+        assert state.history[0] is ring
+        assert not np.shares_memory(ring, state.scratch)
+        assert np.array_equal(ring.view(complex), kept)
+        assert np.array_equal(first.coeffs, kept)
 
 
 class TestArsStartup:
@@ -413,6 +469,13 @@ class TestRun:
         assert calls == [(64, 1 / 40), (64, 1 / 40), (2, 1 / 40)]
         run(u0, system, 1, 1 / 40, 0.5, startup="exact")  # no startup values
         assert len(calls) == 3
+
+    def test_blow_up_names_step_eps_and_dt(self):
+        # dt=0.5 is far past the stability bound at N=100: the run overflows.
+        model = build_model("arz")
+        u0 = initial_data(model, 4, 100, 1.0)
+        with pytest.raises(NonFiniteStepError, match=r"BDF step \d+ \(eps=1, dt=0\.5\)"):
+            run(u0, model.system_at(1.0), 4, 0.5, 500)
 
     def test_nonzero_start_time(self):
         system = scalar_decay_system()

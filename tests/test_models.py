@@ -130,6 +130,23 @@ class TestRegistry:
         with pytest.raises(InvalidParameterError, match=r"its parameters are \[\]"):
             build_model("broadwell", moments=4)
 
+    @pytest.mark.parametrize(
+        "name, overrides, message",
+        [
+            ("arz", {"c0": "abc"}, r"'c0' must be a finite number, got 'abc'"),
+            ("arz", {"v_f": float("nan")}, r"'v_f' must be a finite number, got nan"),
+            ("arz", {"gamma": True}, r"'gamma' must be a finite number, got True"),
+            ("grad", {"moments": 4.5}, r"'moments' must be a finite integer, got 4.5"),
+        ],
+    )
+    def test_non_numeric_override_names_parameter_and_value(self, name, overrides, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            build_model(name, **overrides)
+
+    def test_numeric_overrides_of_any_numeric_type_accepted(self):
+        assert build_model("grad", moments=np.int64(4)).system.dimension == 5
+        assert build_model("arz", c0=2).parameters["c0"] == 2
+
 
 class TestInitialData:
     def test_arz_equilibrium_data_has_zero_stiff_part(self):
