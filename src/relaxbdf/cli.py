@@ -10,6 +10,10 @@ Three subcommands:
 Exit codes: 0 on success, 2 when a requested assertion fails (a certificate
 condition, an identity residual, a truncation slope or a study cell), 1 on
 usage or runtime errors.
+
+``--log-level`` sends the package's log records (failed cells, the step-bound
+notice) to stderr at that level.  Without it, logging is left as the host
+process set it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 
 import numpy as np
@@ -36,6 +41,30 @@ from .theory import (
 
 USAGE_ERROR, ASSERTION_FAILED = 1, 2
 
+LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to the ``sys.stderr`` of the moment."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+        self.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def _configure_logging(level: str) -> None:
+    """Log the package at ``level`` through one stderr handler; a repeated
+    call only changes the level."""
+    package = logging.getLogger(__package__)
+    package.setLevel(level.upper())
+    if not any(isinstance(handler, _StderrHandler) for handler in package.handlers):
+        package.addHandler(_StderrHandler())
+    package.propagate = False
+
 
 def _number_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_number(tok) for tok in text.split(",") if tok)
@@ -47,8 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="IMEX-BDF / Fourier solvers for stiff linear relaxation systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--log-level", choices=LOG_LEVELS,
+        help="log relaxbdf's messages to stderr at this level (default: leave logging as is)",
+    )
 
-    run_p = sub.add_parser("run", help="run a convergence study")
+    run_p = sub.add_parser("run", parents=[common], help="run a convergence study")
     defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     run_p.add_argument("--config", help="JSON file with ExperimentConfig fields")
     run_p.add_argument("--model", choices=sorted(MODEL_BUILDERS))
@@ -65,11 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--format", choices=["csv", "md"], dest="fmt")
     run_p.add_argument("--out", help="output path (stdout when omitted)")
 
-    cert_p = sub.add_parser("check-stability", help="print a stability certificate")
+    cert_p = sub.add_parser("check-stability", parents=[common], help="print a stability certificate")
     cert_p.add_argument("--model", required=True, choices=sorted(MODEL_BUILDERS))
     cert_p.add_argument("--tol", type=float, default=1e-10)
 
-    theory_p = sub.add_parser("verify-theory", help="multiplier and truncation checks")
+    theory_p = sub.add_parser("verify-theory", parents=[common], help="multiplier and truncation checks")
     theory_p.add_argument("--q", type=int, required=True, help="scheme order (1..4)")
     theory_p.add_argument("--samples", type=int, default=1000)
     theory_p.add_argument("--seed", type=int, default=0)
@@ -161,6 +195,8 @@ def _cmd_verify_theory(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.log_level:
+        _configure_logging(args.log_level)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .integrator import _integer_step_count, _startup_divisor, bdf_coefficients, run
 from .models import ModelSpec, build_model, initial_data
-from .oracle import exact_evolve, fine_step_reference
+from .oracle import _propagator_levels, exact_evolve, fine_step_reference
 from .spectral import SpectralField
 from .system import _parse_number
 
@@ -178,14 +178,58 @@ def _reference_field(
     )
 
 
+def _power_of_two_chains(dts) -> list[list[float]]:
+    """Group steps into chains, each finest first, whose members are exact
+    power-of-two multiples of the chain's finest step; a step that fits no
+    chain is a chain of one."""
+    chains: list[list[float]] = []
+    for dt in sorted(dts):
+        for chain in chains:
+            mantissa, exponent = math.frexp(dt / chain[0])
+            if mantissa == 0.5 and dt == chain[0] * 2.0 ** (exponent - 1):
+                chain.append(dt)
+                break
+        else:
+            chains.append([dt])
+    return chains
+
+
+def _startups(config: ExperimentConfig, system, cutoff: int, chain: list[float]):
+    """``run``'s startup for each step of a chain, finest first.
+
+    An exact startup of order q >= 2 is the per-mode map ``exp(dt M_k)``,
+    every level from one squaring chain.  From the first level the chain
+    cannot build, the remaining cells get "exact" and build, or fail on,
+    their own propagators.
+    """
+    if config.startup != "exact" or config.order == 1:
+        yield from (config.startup for _ in chain)
+        return
+    levels = _propagator_levels(system, cutoff, chain[0], round(math.log2(chain[-1] / chain[0])))
+    level = -1
+    for served, dt in enumerate(chain):
+        try:
+            while level < round(math.log2(dt / chain[0])):
+                step = None  # free the previous level's stack before the next is built
+                step = next(levels)
+                level += 1
+        except Exception:
+            yield from ("exact" for _ in chain[served:])
+            return
+        yield step
+
+
 def run_convergence_study(
     config: ExperimentConfig, model: ModelSpec | None = None
 ) -> ConvergenceTable:
     """Run the full (epsilon, dt) grid of a study and assemble the table.
 
     Cells are independent; a failing cell is recorded with an error marker and
-    the remaining cells still run.  An order the model's initial data does
-    not define raises ``UnsupportedOrderError`` before the first block.
+    the remaining cells still run.  The steps of a block run in chains of
+    exact power-of-two multiples, finest first, so that an exact startup
+    takes each chain's propagators from one squaring chain; the rows come
+    in config order.  An order the model's initial data does not define
+    raises ``UnsupportedOrderError`` before the first block.
     Output is deterministic for identical configs.
     """
     if model is None:
@@ -212,29 +256,31 @@ def run_convergence_study(
             logger.exception("block setup failed for epsilon=%g", epsilon)
             rows.extend(TableRow(epsilon, dt, None, None) for dt in config.dts)
             continue
+        errors: dict[float, float | None] = {}
+        for chain in _power_of_two_chains(config.dts):
+            startups = _startups(config, system, u0.cutoff, chain)
+            for dt in chain:
+                try:
+                    final = run(
+                        u0,
+                        system,
+                        config.order,
+                        dt,
+                        config.t_final,
+                        t_start=config.t_start,
+                        startup=next(startups),
+                    )
+                    errors[dt] = error_metric(final, reference)
+                except Exception as exc:
+                    logger.exception("cell failed: epsilon=%g dt=%g: %s", epsilon, dt, exc)
+                    errors[dt] = None
         previous: tuple[float, float] | None = None
         for dt in config.dts:
-            try:
-                final = run(
-                    u0,
-                    system,
-                    config.order,
-                    dt,
-                    config.t_final,
-                    t_start=config.t_start,
-                    startup=config.startup,
-                )
-                error = error_metric(final, reference)
-            except Exception as exc:
-                logger.exception("cell failed: epsilon=%g dt=%g: %s", epsilon, dt, exc)
-                rows.append(TableRow(epsilon, dt, None, None))
-                previous = None
-                continue
-            order = None
-            if previous is not None and error > 0.0 and previous[1] > 0.0:
+            error, order = errors[dt], None
+            if error is not None and previous is not None and error > 0.0 and previous[1] > 0.0:
                 order = math.log(previous[1] / error) / math.log(previous[0] / dt)
             rows.append(TableRow(epsilon, dt, error, order))
-            previous = (dt, error)
+            previous = None if error is None else (dt, error)
     return ConvergenceTable(rows)
 
 

@@ -441,16 +441,23 @@ def _startup_divisor(spec: str) -> int | None:
     if spec == "ars":
         return _DEFAULT_SUBSTEP_DIVISOR
     if spec.startswith("ars:"):
-        divisor = int(spec.split(":", 1)[1])
-        if divisor < 1:
-            raise ValueError("startup divisor must be >= 1")
-        return divisor
-    raise ValueError(f"startup must be 'exact', 'ars' or 'ars:<divisor>', got {spec!r}")
+        try:
+            divisor = int(spec.split(":", 1)[1])
+        except ValueError:
+            divisor = 0
+        if divisor >= 1:
+            return divisor
+    raise ValueError(
+        f"startup must be 'exact', 'ars' or 'ars:<divisor>' with an integer divisor >= 1, "
+        f"got {spec!r}"
+    )
 
 
 def _integer_step_count(span: float, dt: float, q: int) -> int:
     """Number of steps of size ``dt`` in ``span``; it must be an integer that
     holds the q-1 startup steps of an order-q history."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     steps = span / dt
     rounded = round(steps)
     if abs(steps - rounded) > 1e-9 * max(1.0, abs(rounded)):
@@ -472,18 +479,26 @@ def run(
     t_final: float,
     *,
     t_start: float = 0.0,
-    startup: str = "exact",
+    startup: str | np.ndarray = "exact",
 ) -> SpectralField:
     """Integrate from ``t_start`` to ``t_final`` and return the final field.
 
     ``startup`` selects how the first q-1 values are produced: "exact" uses
     the closed-form per-mode propagator, "ars" or "ars:N" the refined IMEX-RK
-    sweep with N substeps per step.  Bit-for-bit deterministic for identical
-    inputs.
+    sweep with N substeps per step.  It may also be the per-mode map of one
+    step ``dt`` itself, a stack ``(2N+1, n, n)`` such as the exact
+    propagators from a squaring chain.  Bit-for-bit deterministic for
+    identical inputs.
     """
     if u0.n != system.dimension:
         raise ValueError("initial field does not match the system dimension")
-    divisor = _startup_divisor(startup)
+    if isinstance(startup, str):
+        divisor, step = _startup_divisor(startup), None
+    else:
+        divisor, step = None, np.asarray(startup)
+        expected = (2 * u0.cutoff + 1, system.dimension, system.dimension)
+        if step.shape != expected:
+            raise ValueError(f"startup map must have shape {expected}, got {step.shape}")
     coeffs = bdf_coefficients(q)
     total = _integer_step_count(t_final - t_start, dt, q)
     if divisor is not None:
@@ -491,7 +506,8 @@ def run(
     elif q == 1:
         history = [u0]
     else:
-        step = _propagators(system, u0.cutoff, dt)
+        if step is None:
+            step = _propagators(system, u0.cutoff, dt)
         history = _startup_history(u0, q, lambda v: (step @ v[..., np.newaxis])[..., 0])
     if total == q - 1:
         return history[-1]

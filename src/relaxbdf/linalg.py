@@ -32,6 +32,7 @@ __all__ = [
     "validate_matrix",
     "lu_factor",
     "inverse",
+    "SquaringChain",
     "matrix_exponential",
     "is_spd",
     "is_negative_semidefinite",
@@ -214,7 +215,31 @@ _EXTENDED_PRECISION_DEPTH = 10
 _LONGDOUBLE_HELPS = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
 
-def matrix_exponential(matrix, t: float = 1.0) -> np.ndarray:
+def _working_dtype(squarings: int, dtype: np.dtype) -> np.dtype:
+    """Precision of a squaring chain of the given depth on ``dtype`` data."""
+    if squarings > _EXTENDED_PRECISION_DEPTH and _LONGDOUBLE_HELPS:
+        return np.dtype(np.clongdouble if dtype.kind == "c" else np.longdouble)
+    return dtype
+
+
+class SquaringChain:
+    """The working-precision powers of the last ``matrix_exponential`` call
+    made with this chain, kept for a call on the same matrices at twice the
+    time.
+
+    That call squares a slice's kept power once more, instead of starting it
+    over, whenever the result is bit-identical to starting over: the slice's
+    squaring depth rises by exactly one, its working precision stays the same
+    and ``2t * M`` is exactly twice ``t * M``.  Every other slice is computed
+    from scratch.  ``groups`` holds ``(depth, slice indices, power)``.
+    """
+
+    def __init__(self):
+        self.t: float | None = None
+        self.groups: list[tuple[int, np.ndarray, np.ndarray]] = []
+
+
+def matrix_exponential(matrix, t: float = 1.0, *, chain: SquaringChain | None = None) -> np.ndarray:
     """Compute ``exp(t * matrix)`` by scaling and squaring.
 
     The scaled matrix is brought to 1-norm <= 1 with ``ceil(log2(|t M|_1))``
@@ -231,15 +256,22 @@ def matrix_exponential(matrix, t: float = 1.0) -> np.ndarray:
     every slice sees exactly the arithmetic it would see alone.  The rows of
     ``exp(t M)`` where ``M`` has a zero row are exact identity rows.  An
     error names the failing slice in its ``index``.
+
+    A ``chain`` that holds the powers of a call on the same ``matrix`` at
+    ``t / 2`` lets this call square them once more where that gives the same
+    bits (see :class:`SquaringChain`); the chain then holds this call's
+    powers.  A call without one is the chain's first link.
     """
     a = validate_matrix(matrix, name="matrix_exponential input")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     stacked = a.ndim == 3
-    scaled = t * (a if stacked else a[np.newaxis])
+    if not stacked:
+        a = a[np.newaxis]
+    scaled = t * a
     # The extended-precision chain returns float64/complex128 for any input.
     result = np.empty_like(scaled, dtype=np.result_type(scaled.dtype, np.float64))
-    groups: dict[int, list[int]] = {}
+    depths = np.full(len(scaled), -1)
     for index, norm1 in enumerate(np.abs(scaled).sum(axis=1).max(axis=1).tolist()):
         if norm1 == 0.0:
             result[index] = np.eye(a.shape[-1])
@@ -250,18 +282,26 @@ def matrix_exponential(matrix, t: float = 1.0) -> np.ndarray:
                 f"|t*matrix|_1 = {norm1:.3e} needs {squarings} squarings (cap {MAX_SQUARINGS})",
                 index,
             )
-        groups.setdefault(squarings, []).append(index)
-    for squarings, members in groups.items():
-        group = scaled[members]
-        work_dtype = None
-        if squarings > _EXTENDED_PRECISION_DEPTH and _LONGDOUBLE_HELPS:
-            work_dtype = np.clongdouble if group.dtype.kind == "c" else np.longdouble
-            group = group.astype(work_dtype)
+        depths[index] = squarings
+    powers = []  # (depth, slice indices, working-precision power) per group
+    pending = depths >= 0
+    if chain is not None and chain.t is not None:
+        doubled = (scaled == 2.0 * (chain.t * a)).all(axis=(1, 2))
+        for squarings, members, power in chain.groups:
+            keep = doubled[members] & (depths[members] == squarings + 1)
+            if keep.any() and _working_dtype(squarings + 1, scaled.dtype) == power.dtype:
+                kept = power[keep]
+                powers.append((squarings + 1, members[keep], kept @ kept))
+                pending[members[keep]] = False
+    for squarings in dict.fromkeys(depths[pending].tolist()):
+        members = np.flatnonzero(pending & (depths == squarings))
+        group = scaled[members].astype(_working_dtype(squarings, scaled.dtype), copy=False)
         power = _pade13(group / 2.0 ** squarings)
         for _ in range(squarings):
             power = power @ power
-        if work_dtype is not None:
-            power = power.astype(complex if power.dtype.kind == "c" else float)
+        powers.append((squarings, members, power))
+    for squarings, members, power in powers:
+        power = power.astype(result.dtype, copy=False)
         overflowed = np.flatnonzero(~np.isfinite(power).all(axis=(1, 2)))
         if overflowed.size:
             raise ExponentialOverflowError(
@@ -269,6 +309,8 @@ def matrix_exponential(matrix, t: float = 1.0) -> np.ndarray:
                 members[overflowed[0]],
             )
         result[members] = power
+    if chain is not None:
+        chain.t, chain.groups = t, powers
     # A zero row of M is an identity row of exp(tM).  Set it exactly: complex
     # division (b/b as b*(1/b)) in the Pade solve can round its 1 down.
     slices, rows = np.nonzero(~scaled.any(axis=2))

@@ -7,16 +7,20 @@ initial data this is also the exact PDE solution, which makes it the
 reference of choice for convergence studies; a conventional fine-step
 reference is provided as a cross-check.  The propagators of all modes form
 one stack, one :func:`~relaxbdf.linalg.matrix_exponential` call per block of
-modes; run's exact startup builds it once, at ``dt``.  A propagator's error
-is about ``|t M_k|_1 u`` relative, ``u`` being the working precision of its
-squaring chain; the k=0 one is the identity on the conserved components.
+modes.  The stacks at ``t, 2t, ..., 2^m t`` come from one squaring chain per
+block: each level squares the previous level's working-precision powers once
+more wherever that is bit-identical to a separate call at its own time.  So
+a study's exact startups for power-of-two multiples of its finest ``dt`` cost
+about one squaring each.  A propagator's error is about ``|t M_k|_1 u``
+relative, ``u`` being the working precision of its squaring chain; the k=0
+one is the identity on the conserved components.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ExponentialOverflowError, matrix_exponential
+from .linalg import ExponentialOverflowError, SquaringChain, matrix_exponential
 from .spectral import SpectralField
 from .system import RelaxationSystem
 
@@ -37,18 +41,25 @@ def mode_matrix(system: RelaxationSystem, k: int | np.ndarray) -> np.ndarray:
     return np.multiply.outer(-1j * kappa, system.convection) + np.asarray(system.source) / system.epsilon
 
 
-def _propagators(system: RelaxationSystem, cutoff: int, t: float) -> np.ndarray:
+def _propagators(
+    system: RelaxationSystem, cutoff: int, t: float, chains: list[SquaringChain] | None = None
+) -> np.ndarray:
     """Stack ``(2N+1, n, n)`` of the mode propagators ``exp(t M_k)``, k = -N..N.
 
     Only modes ``k >= 0`` are exponentiated, in blocks of ``_MODE_BLOCK``;
     mode ``-k`` has the conjugate generator and gets the entrywise conjugate,
-    which keeps real fields exactly real.
+    which keeps real fields exactly real.  ``chains``, one per block, carry
+    the working-precision powers of the previous call, at ``t / 2``.
     """
     stack = np.empty((2 * cutoff + 1, system.dimension, system.dimension), dtype=complex)
-    for first in range(0, cutoff + 1, _MODE_BLOCK):
+    for index, first in enumerate(range(0, cutoff + 1, _MODE_BLOCK)):
         ks = np.arange(first, min(first + _MODE_BLOCK, cutoff + 1))
+        matrix = mode_matrix(system, ks)
         try:
-            block = matrix_exponential(mode_matrix(system, ks), t)
+            if chains is None:
+                block = matrix_exponential(matrix, t)
+            else:
+                block = matrix_exponential(matrix, t, chain=chains[index])
         except ExponentialOverflowError as exc:
             raise ExponentialOverflowError(
                 f"mode k={ks[exc.index]} at t={t:g}, eps={system.epsilon:g}: {exc}"
@@ -57,6 +68,18 @@ def _propagators(system: RelaxationSystem, cutoff: int, t: float) -> np.ndarray:
         stack[cutoff - ks] = np.conj(block)
         stack[cutoff + ks] = block
     return stack
+
+
+def _propagator_levels(system: RelaxationSystem, cutoff: int, t: float, doublings: int):
+    """Yield the propagator stacks at ``t, 2t, ..., 2^doublings t``.
+
+    Between levels each block of modes keeps only its working-precision
+    powers, in a ``SquaringChain``; every level equals a separate
+    ``_propagators`` call at its own time bit for bit.
+    """
+    chains = [SquaringChain() for _ in range(0, cutoff + 1, _MODE_BLOCK)]
+    for level in range(doublings + 1):
+        yield _propagators(system, cutoff, t * 2.0 ** level, chains)
 
 
 def exact_evolve(u0: SpectralField, system: RelaxationSystem, t: float) -> SpectralField:

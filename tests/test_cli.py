@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -207,3 +208,65 @@ class TestRun:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    def test_zero_dt_is_usage_error(self, tmp_path, capsys):
+        code = main(["run", "--model", "grad", "--order", "2", "--eps", "1", "--dt", "0",
+                     "--modes", "8", "--tfinal", "1", "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert "error: dt must be finite and positive, got 0.0" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_negative_dt_in_config_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"model": "grad", "order": 2, "epsilons": [1.0],
+                                    "dts": [-0.05], "t_final": 1}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "error: dt must be finite and positive, got -0.05" in capsys.readouterr().err
+
+    def test_malformed_ars_divisor_is_usage_error(self, capsys):
+        code = main(["run", "--model", "grad", "--order", "2", "--eps", "1", "--dt", "1/20",
+                     "--modes", "8", "--tfinal", "1", "--startup", "ars:x"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'ars:x'" in err and "'exact', 'ars' or 'ars:<divisor>'" in err
+        assert "invalid literal" not in err
+
+
+@pytest.fixture
+def package_logger():
+    """Restore the relaxbdf logger after a test that sets its level."""
+    logger = logging.getLogger("relaxbdf")
+    saved = logger.level, list(logger.handlers), logger.propagate
+    yield logger
+    logger.setLevel(saved[0])
+    logger.handlers[:] = saved[1]
+    logger.propagate = saved[2]
+
+
+class TestLogLevel:
+    # dt=1/20 exceeds the 1/N^2 step bound at N=8: the harness warns.
+    ARGV = ["run", "--model", "grad", "--order", "2", "--eps", "1", "--dt", "1/20",
+            "--modes", "8", "--tfinal", "1", "--startup", "exact"]
+
+    def test_error_level_silences_the_step_bound_notice(self, package_logger, capsys):
+        assert main(self.ARGV + ["--log-level", "warning"]) == 0
+        assert capsys.readouterr().err.count("1/N^2") == 1
+        assert main(self.ARGV + ["--log-level", "error"]) == 0
+        assert "1/N^2" not in capsys.readouterr().err
+
+    def test_failed_cell_is_logged_once(self, package_logger, capsys):
+        # dt=0.5 is far past the stability bound at N=100: the run overflows.
+        argv = ["run", "--model", "arz", "--order", "4", "--eps", "1", "--dt", "0.5",
+                "--tfinal", "500", "--startup", "exact", "--log-level", "error"]
+        for _ in range(2):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("cell failed: epsilon=1 dt=0.5") == 1
+        assert len(package_logger.handlers) == 1
+
+    def test_omitted_level_leaves_logging_alone(self, package_logger):
+        before = package_logger.level, list(package_logger.handlers), package_logger.propagate
+        assert main(["check-stability", "--model", "grad"]) == 0
+        assert (package_logger.level, package_logger.handlers, package_logger.propagate) == before
+        assert main(["check-stability", "--model", "grad", "--log-level", "debug"]) == 0
+        assert package_logger.level == logging.DEBUG

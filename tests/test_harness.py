@@ -3,22 +3,27 @@ import logging
 import math
 import os
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from relaxbdf import linalg
 from relaxbdf.harness import (
     ConvergenceTable,
     ExperimentConfig,
     ShapeMismatchError,
     TableRow,
+    _power_of_two_chains,
     compute_error,
     emit_table,
     grid_error,
     parse_table_csv,
     run_convergence_study,
 )
-from relaxbdf.integrator import NonIntegerStepCountError, UnsupportedOrderError
+from relaxbdf.integrator import NonIntegerStepCountError, UnsupportedOrderError, run
+from relaxbdf.models import build_model, initial_data
+from relaxbdf.oracle import exact_evolve, fine_step_reference, mode_matrix
 from relaxbdf.spectral import SpectralField, zero_field
 
 
@@ -122,6 +127,18 @@ class TestConfig:
         doc = {"model": "grad", "order": 2, "epsilons": [1.0], "dts": ["1/20"]}
         with pytest.raises(ValueError, match="missing required fields: \\['t_final'\\]"):
             ExperimentConfig.from_json(doc)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.05, float("inf"), float("nan")])
+    def test_nonpositive_or_nonfinite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match=f"dt must be finite and positive, got {dt!r}"):
+            small_config(dts=(dt,))
+
+    @pytest.mark.parametrize("token, value", [("0", "0.0"), ("-0.05", "-0.05"), ("NaN", "nan"),
+                                              ("-Infinity", "-inf")])
+    def test_from_json_rejects_bad_dt(self, token, value):
+        text = f'{{"model": "grad", "order": 2, "epsilons": [1], "dts": [{token}], "t_final": 1}}'
+        with pytest.raises(ValueError, match=f"dt must be finite and positive, got {value}"):
+            ExperimentConfig.from_json(text)
 
     def test_bad_norm(self):
         with pytest.raises(ValueError):
@@ -252,6 +269,77 @@ class TestStudy:
                     )
                 ).rows[0]
                 assert fine_row.l2_error == pytest.approx(exact_row.l2_error, rel=0.05)
+
+
+def per_cell_errors(config):
+    """Each cell as its own ``run(startup="exact")``, errors in config order."""
+    model = build_model(config.model)
+    errors = []
+    for epsilon in config.epsilons:
+        system = model.system_at(epsilon)
+        u0 = initial_data(model, config.order, config.modes, epsilon)
+        if config.reference == "exact":
+            reference = exact_evolve(u0, system, config.t_final)
+        else:
+            dt_ref = float(Fraction(config.reference.split(":")[1]))
+            reference = fine_step_reference(u0, system, config.order, dt_ref, config.t_final)
+        for dt in config.dts:
+            try:
+                final = run(u0, system, config.order, dt, config.t_final, startup="exact")
+            except Exception:
+                errors.append(None)
+                continue
+            errors.append(grid_error(final, reference))
+    return errors
+
+
+class TestPropagatorChains:
+    def test_chains_group_exact_power_of_two_multiples(self):
+        assert _power_of_two_chains((1 / 20, 1 / 40, 1 / 80)) == [[1 / 80, 1 / 40, 1 / 20]]
+        assert _power_of_two_chains((1 / 20, 1 / 30, 1 / 60)) == [[1 / 60, 1 / 30], [1 / 20]]
+        assert _power_of_two_chains((0.3, 0.1)) == [[0.1], [0.3]]
+        assert _power_of_two_chains((1 / 10, 1 / 80)) == [[1 / 80, 1 / 10]]
+
+    @pytest.mark.parametrize("dts", [(1 / 20, 1 / 40, 1 / 80, 1 / 160), (1 / 20, 1 / 30, 1 / 60)])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_cells_match_separate_exact_runs(self, dts, order):
+        # eps=1 has depth-0 modes, 1e-5 crosses the depth-10 switch between
+        # levels and 1e-10 is deep at every level.
+        config = small_config(order=order, epsilons=(1.0, 1e-5, 1e-10), dts=dts, modes=16)
+        table = run_convergence_study(config)
+        assert [row.l2_error for row in table.rows] == per_cell_errors(config)
+        assert all(row.l2_error is not None for row in table.rows)
+
+    def test_rows_keep_config_order_and_orders(self):
+        config = small_config(dts=(1 / 20, 1 / 30, 1 / 60))
+        rows = run_convergence_study(config).rows
+        assert [row.dt for row in rows] == list(config.dts)
+        assert rows[0].order is None
+        expected = math.log(rows[0].l2_error / rows[1].l2_error) / math.log(1.5)
+        assert rows[1].order == expected
+
+    def test_cells_past_the_squaring_cap_fail_alone(self, monkeypatch, caplog):
+        # A real model fails its implicit solve long before dt/eps reaches
+        # 2^64, so the cap is lowered to the depth of dt=1/80: the two
+        # coarser cells exceed it.  The fine reference stays below it.
+        epsilon = 1e-10
+        system = build_model("grad").system_at(epsilon)
+        norm = np.abs(mode_matrix(system, np.arange(9)) / 80).sum(axis=1).max()
+        monkeypatch.setattr(linalg, "MAX_SQUARINGS", math.ceil(math.log2(norm)))
+        config = small_config(epsilons=(epsilon,), dts=(1 / 20, 1 / 40, 1 / 80, 1 / 160),
+                              reference="fine:1/320")
+        with caplog.at_level(logging.ERROR, logger="relaxbdf.harness"):
+            table = run_convergence_study(config)
+        errors = [row.l2_error for row in table.rows]
+        assert errors[:2] == [None, None]
+        assert None not in errors[2:]
+        assert errors == per_cell_errors(config)
+        messages = [record.getMessage() for record in caplog.records]
+        assert len(messages) == 2
+        for dt, message in zip(("0.025", "0.05"), messages):
+            assert message.startswith(f"cell failed: epsilon=1e-10 dt={dt}: mode k=")
+            assert f" at t={dt}, eps=1e-10: " in message
+            assert f"squarings (cap {linalg.MAX_SQUARINGS})" in message
 
 
 class TestEmit:

@@ -17,7 +17,7 @@ from relaxbdf.integrator import (
     run,
 )
 from relaxbdf.models import build_model, initial_data
-from relaxbdf.oracle import exact_evolve
+from relaxbdf.oracle import _propagators, exact_evolve
 from relaxbdf.spectral import SpectralField, zero_field
 from relaxbdf.system import RelaxationSystem
 from relaxbdf.theory import fit_order
@@ -412,6 +412,41 @@ class TestRun:
         u0 = initial_data(model, 2, 4, 1.0)
         with pytest.raises(ValueError):
             run(u0, system, 2, 0.25, 1.0, startup=spec)
+
+    @pytest.mark.parametrize("spec", ["ars:x", "ars:", "ars:1.5", "ars:-3"])
+    def test_startup_spec_error_names_spec_and_forms(self, spec):
+        model = build_model("arz")
+        u0 = initial_data(model, 2, 4, 1.0)
+        with pytest.raises(ValueError) as info:
+            run(u0, model.system_at(1.0), 2, 0.25, 1.0, startup=spec)
+        message = str(info.value)
+        assert repr(spec) in message
+        assert "'exact', 'ars' or 'ars:<divisor>'" in message
+
+    @pytest.mark.parametrize("dt", [0.0, -0.25, float("inf"), float("nan")])
+    def test_nonpositive_or_nonfinite_dt_rejected(self, dt):
+        model = build_model("arz")
+        u0 = initial_data(model, 2, 4, 1.0)
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            run(u0, model.system_at(1.0), 2, dt, 1.0)
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_step_map_startup_matches_exact(self, q):
+        model = build_model("broadwell")
+        system = model.system_at(1e-6)
+        u0 = initial_data(model, max(q, 2), 12, 1e-6)
+        step = _propagators(system, u0.cutoff, 1 / 40)
+        by_map = run(u0, system, q, 1 / 40, 0.5, startup=step)
+        by_spec = run(u0, system, q, 1 / 40, 0.5, startup="exact")
+        assert np.asarray(by_map.coeffs).tobytes() == np.asarray(by_spec.coeffs).tobytes()
+
+    def test_step_map_shape_validated(self):
+        model = build_model("broadwell")
+        system = model.system_at(1e-6)
+        u0 = initial_data(model, 3, 12, 1e-6)
+        step = _propagators(system, u0.cutoff - 1, 1 / 40)
+        with pytest.raises(ValueError, match=r"startup map must have shape \(25, 3, 3\), got \(23, 3, 3\)"):
+            run(u0, system, 3, 1 / 40, 0.5, startup=step)
 
     def test_ars_spec_divisor_matches_manual_stepping(self):
         model = build_model("broadwell")

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from relaxbdf import linalg
 from relaxbdf.linalg import (
     MAX_SQUARINGS,
     ExponentialOverflowError,
     SingularMatrixError,
+    SquaringChain,
     is_negative_semidefinite,
     is_spd,
     inverse,
@@ -190,6 +192,87 @@ class TestMatrixExponential:
         with pytest.raises(ExponentialOverflowError, match="needs 66 squarings") as info:
             matrix_exponential(stack, 1.0)
         assert info.value.index == 1
+
+
+def chain_stack(dtype):
+    """Slices whose depth at t=0.7 is 0 (at two norms), 3, 9, 10 and 34, a
+    zero slice and two stiff relaxation generators, of a k=0 mode (two zero
+    rows) and of a k>0 mode; doubling t moves 9 and 10 across the switch to
+    extended precision."""
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((6, 4, 4)).astype(dtype)
+    if base.dtype.kind == "c":
+        base = base + 1j * rng.standard_normal((6, 4, 4))
+    skew = base - np.conj(base.transpose(0, 2, 1))
+    skew /= np.abs(skew).sum(axis=1).max(axis=1)[:, None, None]
+    norms = [0.3, 0.9, 6.0, 400.0, 1000.0, 1.0e10]
+    relaxation = np.array(
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0.5, -1.0, -3.0, 0.0], [0.0, 0.2, 1.0, -2.0]]
+    ).astype(dtype)
+    drift = 0.3 * np.diag([1.0, -1.0, 0.5, 0.0]).astype(dtype)
+    if base.dtype.kind == "c":
+        drift = 1j * drift
+    stack = [norm / 0.7 * matrix for norm, matrix in zip(norms, skew)]
+    stack += [np.zeros((4, 4), dtype), 1.0e9 * relaxation, 1.0e9 * relaxation + drift]
+    return np.array(stack)
+
+
+class TestSquaringChain:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_levels_equal_separate_calls(self, dtype):
+        stack = chain_stack(dtype)
+        depths = [max(0, int(np.ceil(np.log2(np.abs(0.7 * m).sum(axis=0).max())))) for m in stack[:6]]
+        assert depths == [0, 0, 3, 9, 10, 34]
+        chain = SquaringChain()
+        for level in range(6):
+            t = 0.7 * 2.0 ** level
+            chained = matrix_exponential(stack, t, chain=chain)
+            assert np.array_equal(chained, matrix_exponential(stack, t))
+            # The zero rows stay exact identity rows.
+            np.testing.assert_array_equal(chained[6:8, :2], np.broadcast_to(np.eye(2, 4), (2, 2, 4)))
+
+    def test_deep_slices_skip_the_pade_kernel(self, monkeypatch):
+        # Depths 30+ at t: every later level is one more squaring.
+        stack = chain_stack(complex)[[5, 7, 8]]
+        calls = []
+        original = linalg._pade13
+        monkeypatch.setattr(linalg, "_pade13", lambda a: calls.append(len(a)) or original(a))
+        chain = SquaringChain()
+        matrix_exponential(stack, 0.7, chain=chain)
+        assert sum(calls) == 3
+        for level in range(1, 4):
+            matrix_exponential(stack, 0.7 * 2.0 ** level, chain=chain)
+        assert sum(calls) == 3
+
+    def test_depth_switch_and_clamped_depth_start_over(self, monkeypatch):
+        # At 2t a slice of depth 10 turns to extended precision, and one of
+        # depth 0 with |tM|_1 <= 1/2 stays at depth 0: both start over.  One
+        # of depth 0 with |tM|_1 > 1/2 reaches depth 1 and is squared.
+        stack = chain_stack(float)[[0, 1, 4]]
+        calls = []
+        original = linalg._pade13
+        monkeypatch.setattr(linalg, "_pade13", lambda a: calls.append(len(a)) or original(a))
+        chain = SquaringChain()
+        matrix_exponential(stack, 0.7, chain=chain)
+        assert sum(calls) == 3
+        matrix_exponential(stack, 1.4, chain=chain)
+        assert sum(calls) == (5 if linalg._LONGDOUBLE_HELPS else 4)
+
+    def test_chain_at_another_time_starts_over(self):
+        stack = chain_stack(complex)
+        chain = SquaringChain()
+        matrix_exponential(stack, 0.7, chain=chain)
+        assert np.array_equal(matrix_exponential(stack, 2.1, chain=chain),
+                              matrix_exponential(stack, 2.1))
+        assert chain.t == 2.1
+
+    def test_cap_is_checked_at_every_level(self):
+        m = np.array([[-1.0]]) * 2.0 ** (MAX_SQUARINGS - 1)
+        chain = SquaringChain()
+        matrix_exponential(m, 1.0, chain=chain)
+        matrix_exponential(m, 2.0, chain=chain)
+        with pytest.raises(ExponentialOverflowError, match=f"needs {MAX_SQUARINGS + 1} squarings"):
+            matrix_exponential(m, 4.0, chain=chain)
 
 
 class TestDefiniteness:

@@ -7,7 +7,13 @@ from relaxbdf.harness import compute_error
 from relaxbdf.integrator import run
 from relaxbdf.linalg import matrix_exponential
 from relaxbdf.models import build_model, initial_data
-from relaxbdf.oracle import exact_evolve, fine_step_reference, mode_matrix
+from relaxbdf.oracle import (
+    _propagator_levels,
+    _propagators,
+    exact_evolve,
+    fine_step_reference,
+    mode_matrix,
+)
 from relaxbdf.spectral import SpectralField, field_inner_product, project
 from relaxbdf.system import RelaxationSystem
 from relaxbdf.theory import fit_order
@@ -55,6 +61,17 @@ class TestExactEvolve:
         )
         evolved = np.asarray(exact_evolve(u0, system, 0.7).coeffs)
         assert evolved.tobytes() == per_mode_evolve(u0, system, 0.7).tobytes()
+
+    @pytest.mark.parametrize("name, epsilon", [("broadwell", 1.0), ("broadwell", 1e-5),
+                                               ("grad", 1e-10)])
+    def test_levels_equal_separate_stacks(self, name, epsilon):
+        # 130 modes make three blocks; eps=1 has depth-0 modes, 1e-5 crosses
+        # the switch to extended precision and 1e-10 is deep throughout.
+        system = build_model(name).system_at(epsilon)
+        levels = list(_propagator_levels(system, 130, 1 / 160, 3))
+        assert len(levels) == 4
+        for level, stack in enumerate(levels):
+            assert np.array_equal(stack, _propagators(system, 130, 2.0 ** level / 160))
 
     def test_mode_matrix_accepts_mode_arrays(self):
         system = build_model("grad").system_at(1e-2)
