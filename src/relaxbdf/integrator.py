@@ -12,14 +12,24 @@ the stiff source implicitly.  Because the implicit matrix
 factored (with the singular-pivot check) and inverted once per run; each step
 then applies the inverse to all modes with one matrix product.
 
-A step works on the float64 views (2N+1, 2n) of the complex coefficients
+A step works on the float64 views (rows, 2n) of the complex coefficients
 (real and imaginary parts side by side).  The convection product, with the
 factor i of ``d_x`` folded in, and the implicit inverse are real block forms
 built once per run, so both products are plain float64 matrix products.  The
 weighted sums keep the complex step's operations and order, so a step is
-bit-identical to its complex form (up to the sign of exact zeros).  A step
-that overflows or makes a NaN raises ``NonFiniteStepError`` naming the step,
-eps and dt.
+bit-identical to its complex form (up to the sign of exact zeros).  One loop
+runs the steps; it writes each new value into the history buffer it retires,
+so no step allocates.  A step that overflows or makes a NaN raises
+``NonFiniteStepError`` naming the step, eps and dt.
+
+A real-valued history (``u_hat[-k] = conj(u_hat[k])``) is stepped on its
+rows ``k = 0..N`` only, and the rows ``-k`` are rebuilt as conjugates when a
+field is returned.  This is exact: every step operation is elementwise or a
+right product with a real block matrix, both symmetric under a sign change
+in IEEE arithmetic, so the full step maps an exactly symmetric history to an
+exactly symmetric result.  A field whose rows ``-k`` match only within the
+symmetry tolerance comes out exactly symmetric (from its rows ``k >= 0``,
+with a real ``k = 0`` mode).  Other fields keep all 2N+1 rows.
 
 Startup values for q >= 2 apply one per-mode map of a step ``dt`` q-1
 times: the exact propagator ("exact", the default for testing) or N refined
@@ -126,9 +136,12 @@ class SolverState:
     """Mutable per-run state: the history ring plus the per-run constants.
 
     ``history[i]`` holds the coefficients of ``u^{n+i}`` (oldest first) as the
-    float64 view, shape (2N+1, 2n), of a complex (2N+1, n) array: columns 2j
-    and 2j+1 are the real and imaginary parts of component j.  The constants
-    act on such views from the right:
+    float64 view of a complex (rows, n) array: columns 2j and 2j+1 are the
+    real and imaginary parts of component j.  A real-valued history keeps the
+    rows ``k = 0..N``, shape (N+1, 2n); any other keeps all modes, shape
+    (2N+1, 2n).  The q buffers are fixed: a step writes the new value into the
+    oldest one and moves it to the end.  The constants, on the same rows, act
+    on such views from the right:
 
     * ``convection_block`` is ``kron(A^T, [[0, 1], [-1, 0]])``, the product
       with ``i A`` (the factor i of ``d_x`` folded in);
@@ -138,8 +151,8 @@ class SolverState:
 
     ``alpha`` and ``gamma`` are the scheme weights as 0-d float64 arrays,
     which a ufunc takes without converting a scalar on every call, and
-    ``scratch`` holds the step's three temporaries (2N+1, 2n); no field
-    returned by a step lives in it.
+    ``scratch`` holds the step's three temporaries; no history buffer lives
+    in it.
     """
 
     history: list[np.ndarray]
@@ -172,7 +185,12 @@ def make_solver_state(
     coeffs: BDFCoefficients,
     dt: float,
 ) -> SolverState:
-    """Build a ready-to-step state from the q startup fields."""
+    """Build a ready-to-step state from the q startup fields.
+
+    A real-valued history keeps only its rows ``k = 0..N``, with the
+    imaginary part of ``k = 0`` set to zero; the rows ``-k`` are rebuilt as
+    their conjugates when a field is returned.
+    """
     if len(history) != coeffs.q:
         raise ValueError(f"history must hold {coeffs.q} fields, got {len(history)}")
     first = history[0]
@@ -184,55 +202,77 @@ def make_solver_state(
             f"fields have {first.n} components but system dimension is {system.dimension}"
         )
     n = system.dimension
+    real_valued = all(f.real_valued for f in history)
+    rows = slice(first.cutoff, None) if real_valued else slice(None)
     inverse = lu_factor(_implicit_matrix(system, coeffs, dt)).solve(np.eye(n))
-    views = [np.array(f.coeffs).view(np.float64) for f in history]
+    views = [np.array(f.coeffs[rows]).view(np.float64) for f in history]
+    if real_valued:
+        for view in views:
+            view[0, 1::2] = 0.0
     return SolverState(
         history=views,
         step_index=0,
         dt=dt,
         convection_block=np.kron(np.asarray(system.convection, dtype=float).T, _TIMES_I),
         implicit_block=np.kron(inverse.T, np.eye(2)),
-        scaled_wavenumbers=np.repeat((dt * first.wavenumbers)[:, np.newaxis], 2 * n, axis=1),
+        scaled_wavenumbers=np.repeat((dt * first.wavenumbers)[rows, np.newaxis], 2 * n, axis=1),
         alpha=tuple(np.array(a) for a in coeffs.alpha),
         gamma=tuple(np.array(g) for g in coeffs.gamma),
         scratch=np.empty((3,) + views[0].shape),
         domain_length=first.domain_length,
-        real_valued=all(f.real_valued for f in history),
+        real_valued=real_valued,
     )
 
 
-def _advance(state: SolverState) -> np.ndarray:
-    """One step on the real views; returns the new view (a fresh array).
+def _advance(state: SolverState, count: int = 1) -> np.ndarray:
+    """``count`` steps on the real views; returns the newest view.
 
-    The operations are those of the complex step, in the same order, so the
+    Each new value is written into the history buffer it retires, so no step
+    allocates; the returned view is overwritten ``q`` steps later.  The
+    operations are those of the complex step, in the same order, so the
     result is bit-identical to it up to the sign of exact zeros.
     """
     history, alpha, gamma = state.history, state.alpha, state.gamma
+    convection, implicit = state.convection_block, state.implicit_block
+    wavenumbers = state.scaled_wavenumbers
     rhs, extrapolated, term = state.scratch
-    newest = history[-1]
-    # Difference form of -sum_{i<q} alpha_i u^{n+i}: identical algebraically
-    # (the alphas sum to zero) but exact when the history is constant, which
-    # keeps conserved k=0 components free of drift.  The first subtraction
-    # reads ``newest`` directly, so no copy of it is made.
-    minuend = newest
-    for i in range(len(history) - 1):
-        np.subtract(history[i], newest, term)
-        np.multiply(term, alpha[i], term)
-        np.subtract(minuend, term, rhs)
-        minuend = rhs
-    np.multiply(history[0], gamma[0], extrapolated)
-    for i in range(1, len(history)):
-        np.multiply(history[i], gamma[i], term)
-        np.add(extrapolated, term, extrapolated)
-    # i * dt * kappa * (A u): the i sits in convection_block.
-    np.dot(extrapolated, state.convection_block, term)
-    np.multiply(term, state.scaled_wavenumbers, term)
-    np.subtract(minuend, term, rhs)
-    new = np.dot(rhs, state.implicit_block)
-    history.pop(0)
-    history.append(new)
-    state.step_index += 1
-    return new
+    subtract, multiply, add, dot = np.subtract, np.multiply, np.add, np.dot
+    older = range(len(history) - 1)
+    newer = range(1, len(history))
+    for _ in range(count):
+        newest = history[-1]
+        # Difference form of -sum_{i<q} alpha_i u^{n+i}: identical
+        # algebraically (the alphas sum to zero) but exact when the history is
+        # constant, which keeps conserved k=0 components free of drift.  The
+        # first subtraction reads ``newest`` directly, so no copy of it is made.
+        minuend = newest
+        for i in older:
+            subtract(history[i], newest, term)
+            multiply(term, alpha[i], term)
+            subtract(minuend, term, rhs)
+            minuend = rhs
+        multiply(history[0], gamma[0], extrapolated)
+        for i in newer:
+            multiply(history[i], gamma[i], term)
+            add(extrapolated, term, extrapolated)
+        # i * dt * kappa * (A u): the i sits in convection_block.
+        dot(extrapolated, convection, term)
+        multiply(term, wavenumbers, term)
+        subtract(minuend, term, rhs)
+        oldest = history.pop(0)
+        dot(rhs, implicit, oldest)
+        history.append(oldest)
+        state.step_index += 1
+    return history[-1]
+
+
+def _field(state: SolverState, view: np.ndarray) -> SpectralField:
+    """The field of a history view; a real field's rows ``-k`` are the
+    conjugates of its rows ``k``."""
+    values = view.view(np.complex128)
+    if state.real_valued:
+        values = np.concatenate((np.conj(values[:0:-1]), values))
+    return SpectralField(values, state.domain_length, state.real_valued)
 
 
 class NonFiniteStepError(ValueError):
@@ -263,7 +303,7 @@ def imex_bdf_step(
     """
     with _blow_up_check(state, system):
         new = _advance(state)
-    return SpectralField(new.view(np.complex128), state.domain_length, state.real_valued)
+    return _field(state, new)
 
 
 # -- ARS IMEX Runge-Kutta startup ---------------------------------------------
@@ -513,6 +553,5 @@ def run(
         return history[-1]
     state = make_solver_state(history, system, coeffs, dt)
     with _blow_up_check(state, system):
-        for _ in range(total - (q - 1)):
-            final = _advance(state)
-    return SpectralField(final.view(np.complex128), state.domain_length, state.real_valued)
+        final = _advance(state, total - (q - 1))
+    return _field(state, final)

@@ -268,14 +268,19 @@ def matrix_exponential(matrix, t: float = 1.0, *, chain: SquaringChain | None = 
     stacked = a.ndim == 3
     if not stacked:
         a = a[np.newaxis]
-    scaled = t * a
+    # An overflowing t*M is reported below, by slice, as a non-finite norm.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = t * a
+        norms = np.abs(scaled).sum(axis=1).max(axis=1)
     # The extended-precision chain returns float64/complex128 for any input.
     result = np.empty_like(scaled, dtype=np.result_type(scaled.dtype, np.float64))
     depths = np.full(len(scaled), -1)
-    for index, norm1 in enumerate(np.abs(scaled).sum(axis=1).max(axis=1).tolist()):
+    for index, norm1 in enumerate(norms.tolist()):
         if norm1 == 0.0:
             result[index] = np.eye(a.shape[-1])
             continue
+        if not math.isfinite(norm1):
+            raise ExponentialOverflowError(f"|t*matrix|_1 overflows at t = {t:.3e}", index)
         squarings = max(0, math.ceil(math.log2(norm1)))
         if squarings > MAX_SQUARINGS:
             raise ExponentialOverflowError(

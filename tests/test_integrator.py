@@ -9,6 +9,7 @@ from relaxbdf.integrator import (
     NonFiniteStepError,
     NonIntegerStepCountError,
     UnsupportedOrderError,
+    _advance,
     ars_startup,
     ars_tableau,
     bdf_coefficients,
@@ -246,8 +247,87 @@ class TestRealViewStep:
             imex_bdf_step(state, system, coeffs)
         assert state.history[0] is ring
         assert not np.shares_memory(ring, state.scratch)
-        assert np.array_equal(ring.view(complex), kept)
+        assert np.array_equal(ring.view(complex), kept[u0.cutoff:])
         assert np.array_equal(first.coeffs, kept)
+
+
+class TestHalfSpectrum:
+    """A real field steps only its rows k >= 0 and is mirrored on return."""
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-8])
+    def test_matches_full_rows_bitwise(self, name, q, epsilon):
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        u0 = initial_data(model, max(q, 2), 16, epsilon)
+        full = SpectralField(u0.coeffs, u0.domain_length, real_valued=False)
+        half_run = run(u0, system, q, 1 / 40, 0.5)
+        full_run = run(full, system, q, 1 / 40, 0.5)
+        assert half_run.real_valued and not full_run.real_valued
+        assert np.array_equal(half_run.coeffs, full_run.coeffs)
+
+    @pytest.mark.parametrize("real_valued", [True, False])
+    def test_steps_reuse_the_history_buffers(self, real_valued):
+        model = build_model("broadwell")
+        system = model.system_at(1e-2)
+        q, cutoff = 3, 8
+        coeffs = bdf_coefficients(q)
+        u0 = initial_data(model, q, cutoff, 1e-2)
+        u0 = SpectralField(u0.coeffs, u0.domain_length, real_valued)
+        state = make_solver_state([u0] * q, system, coeffs, dt=1e-2)
+        buffers = list(state.history)
+        rows = cutoff + 1 if real_valued else 2 * cutoff + 1
+        assert all(b.shape == (rows, 2 * system.dimension) for b in buffers)
+        for i, buffer in enumerate(buffers):
+            assert not np.shares_memory(buffer, state.scratch)
+            assert not any(np.shares_memory(buffer, other) for other in buffers[i + 1:])
+        for _ in range(q):
+            imex_bdf_step(state, system, coeffs)
+        assert all(a is b for a, b in zip(state.history, buffers))
+        _advance(state, q)
+        assert all(a is b for a, b in zip(state.history, buffers))
+        assert state.step_index == 2 * q
+
+    def test_run_and_single_steps_name_the_same_blow_up_step(self):
+        model = build_model("arz")
+        system = model.system_at(1.0)
+        q, dt = 4, 0.5
+        coeffs = bdf_coefficients(q)
+        u0 = initial_data(model, q, 100, 1.0)
+        with pytest.raises(NonFiniteStepError) as by_run:
+            run(u0, system, q, dt, 500, startup="ars:7")
+        state = make_solver_state(
+            ars_startup(u0, system, q, dt, substep_divisor=7), system, coeffs, dt
+        )
+        with pytest.raises(NonFiniteStepError) as by_step:
+            for _ in range(1000):
+                imex_bdf_step(state, system, coeffs)
+        assert str(by_step.value) == str(by_run.value)
+
+    def test_near_symmetric_field_steps_to_exact_mirror(self):
+        # Rows -k that match rows k only within the symmetry tolerance, and a
+        # k=0 row with a tiny imaginary part, are dropped: the result is the
+        # step of the exact mirror of rows k >= 0.
+        model = build_model("grad")
+        system = model.system_at(1e-3)
+        q, cutoff = 2, 12
+        coeffs = bdf_coefficients(q)
+        u0 = initial_data(model, q, cutoff, 1e-3)
+        rng = np.random.default_rng(11)
+        noisy = np.array(u0.coeffs)
+        noisy[: cutoff + 1] += 1e-14 * rng.standard_normal(noisy[: cutoff + 1].shape) * (1 + 1j)
+        near = SpectralField(noisy, u0.domain_length)
+        assert not np.array_equal(near.coeffs, np.conj(near.coeffs[::-1]))
+        exact = np.array(noisy)
+        exact[cutoff] = exact[cutoff].real
+        exact[:cutoff] = np.conj(exact[:cutoff:-1])
+        mirrored = SpectralField(exact, u0.domain_length)
+        states = [make_solver_state([f] * q, system, coeffs, 1e-2) for f in (near, mirrored)]
+        for _ in range(5):
+            stepped, expected = (imex_bdf_step(s, system, coeffs) for s in states)
+            assert np.array_equal(stepped.coeffs, np.conj(stepped.coeffs[::-1]))
+            assert np.array_equal(stepped.coeffs, expected.coeffs)
 
 
 class TestArsStartup:

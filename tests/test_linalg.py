@@ -193,6 +193,17 @@ class TestMatrixExponential:
             matrix_exponential(stack, 1.0)
         assert info.value.index == 1
 
+    def test_overflowing_scaled_matrix_names_slice(self):
+        # t*M itself leaves float64: an overflow error, not a warning and a
+        # bare OverflowError from the squaring count.
+        with pytest.raises(ExponentialOverflowError, match="overflows") as info:
+            matrix_exponential(np.array([[1e10]]), 1e300)
+        assert info.value.index == 0
+        stack = np.array([1e-300 * np.eye(2), [[0.0, 1e10], [-1e10, 0.0]], np.zeros((2, 2))])
+        with pytest.raises(ExponentialOverflowError, match="overflows") as info:
+            matrix_exponential(stack, 1e300)
+        assert info.value.index == 1
+
 
 def chain_stack(dtype):
     """Slices whose depth at t=0.7 is 0 (at two norms), 3, 9, 10 and 34, a
