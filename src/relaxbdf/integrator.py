@@ -9,8 +9,14 @@ relaxation system by
 treating convection explicitly (extrapolated through the gamma weights) and
 the stiff source implicitly.  Because the implicit matrix
 ``alpha_q I - beta dt/eps Q`` is real and the same for every mode, it is
-factored (with the singular-pivot check) and inverted once per run; each step
-then applies the inverse to all modes with one matrix product.
+inverted once per run; each step then applies the inverse to all modes with
+one matrix product.  In the normal form ``Q = diag(0, S)`` this matrix, like
+the ARS stage matrix ``I - h g Q/eps``, is block diagonal with a multiple of
+the identity as its bulk block, so only the stiff block is factored (with
+the singular-pivot check).  A factorization of the whole matrix would judge
+the bulk pivot against entries of size dt/eps and fail below eps ~ 1e-16.
+A singular stiff block raises ``SingularMatrixError`` naming the matrix,
+eps and the step.
 
 A step works on the float64 views (rows, 2n) of the complex coefficients
 (real and imaginary parts side by side).  The convection product, with the
@@ -50,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import lu_factor
+from .linalg import PIVOT_RTOL, SingularMatrixError, lu_factor
 from .oracle import _propagators
 from .spectral import SpectralField
 from .system import RelaxationSystem
@@ -172,11 +178,35 @@ class SolverState:
 _TIMES_I = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _implicit_matrix(system: RelaxationSystem, coeffs: BDFCoefficients, dt: float) -> np.ndarray:
-    n = system.dimension
-    return coeffs.alpha[-1] * np.eye(n) - (coeffs.beta * dt / system.epsilon) * np.asarray(
-        system.source
-    )
+def _normal_form_inverse(
+    system: RelaxationSystem, diagonal: float, stiff: np.ndarray, label: str
+) -> np.ndarray:
+    """Inverse of ``d I - c Q = diag(d I_b, stiff)``, with ``d = diagonal``,
+    for the normal form ``Q = diag(0, S)``.
+
+    ``stiff`` is the block ``d I_r - c S`` as the caller builds it, so each
+    matrix keeps its own rounding.  Only that block is factored; the bulk
+    block inverts to ``I_b / d`` exactly.  The stiff pivots are judged
+    against ``d`` as well as the block's largest entry, as in a
+    factorization of the whole matrix.  Where that factorization succeeds,
+    the result equals its inverse to rounding, and bit for bit on the
+    built-in models.  ``label`` names the matrix when the stiff block is
+    singular.
+    """
+    try:
+        factors = lu_factor(stiff)
+        pivot = np.abs(np.diagonal(factors.packed)).min()
+        if pivot <= PIVOT_RTOL * abs(diagonal):
+            raise SingularMatrixError(
+                f"pivot {pivot:.3e} below threshold {PIVOT_RTOL * abs(diagonal):.3e} of the diagonal"
+            )
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"{label} is singular: {exc}") from exc
+    b = system.bulk_size
+    inverse = np.zeros((system.dimension, system.dimension))
+    inverse[:b, :b] = np.eye(b) / diagonal
+    inverse[b:, b:] = factors.solve(np.eye(system.stiff_size))
+    return inverse
 
 
 def make_solver_state(
@@ -204,7 +234,13 @@ def make_solver_state(
     n = system.dimension
     real_valued = all(f.real_valued for f in history)
     rows = slice(first.cutoff, None) if real_valued else slice(None)
-    inverse = lu_factor(_implicit_matrix(system, coeffs, dt)).solve(np.eye(n))
+    inverse = _normal_form_inverse(
+        system,
+        coeffs.alpha[-1],
+        coeffs.alpha[-1] * np.eye(system.stiff_size)
+        - (coeffs.beta * dt / system.epsilon) * system.stiff_block,
+        f"BDF implicit matrix (eps={system.epsilon:g}, dt={dt:g})",
+    )
     views = [np.array(f.coeffs[rows]).view(np.float64) for f in history]
     if real_valued:
         for view in views:
@@ -401,7 +437,12 @@ def _ars_increment(
     n = system.dimension
     explicit = np.multiply.outer(-1j * wavenumbers, system.convection)
     source = np.asarray(system.source) / system.epsilon
-    stage_inverse = lu_factor(np.eye(n) - substep * diag[0] * source).solve(np.eye(n))
+    stage_inverse = _normal_form_inverse(
+        system,
+        1.0,
+        np.eye(system.stiff_size) - substep * diag[0] * (system.stiff_block / system.epsilon),
+        f"ARS stage matrix (eps={system.epsilon:g}, substep dt={substep:g})",
+    )
     identity = np.broadcast_to(np.eye(n, dtype=complex), (len(wavenumbers), n, n))
     fe, fi = [], []
 

@@ -6,11 +6,12 @@ holds mode ``k = j - N``).  With the mode counts used here (N <= a few
 hundred, n <= ~16) direct DFT summation is cheap, so no transform library is
 involved.  The underlying basis is ``exp(i * 2*pi*k*x / L)`` and the L2 norm
 follows Parseval for that basis: ``|u|^2 = L * sum_k |u_hat[k]|^2``.
+The module has no dump format of its own: a field's coefficients are the
+read-only array ``coeffs`` and its point values come from ``evaluate``.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,8 +22,6 @@ __all__ = [
     "project",
     "zero_field",
     "field_inner_product",
-    "to_coefficient_csv",
-    "to_physical_csv",
 ]
 
 _SYMMETRY_RTOL = 1e-12
@@ -127,15 +126,6 @@ class SpectralField:
             values = values.real
         return values[0] if np.isscalar(x) or np.ndim(x) == 0 else values
 
-    def apply_matrix(self, matrix) -> "SpectralField":
-        """Apply a constant component-mixing matrix to every mode."""
-        mat = np.asarray(matrix)
-        if mat.shape[1] != self.n:
-            raise ValueError(f"matrix of shape {mat.shape} cannot act on {self.n} components")
-        mixed = self.coeffs @ mat.T
-        stays_real = self.real_valued and mat.dtype.kind != "c"
-        return SpectralField(mixed, self.domain_length, stays_real)
-
     # -- linear-space arithmetic -------------------------------------------
 
     def _binary(self, other: "SpectralField", op) -> "SpectralField":
@@ -210,37 +200,3 @@ def field_inner_product(u: SpectralField, v: SpectralField, weight=None) -> floa
         w = np.asarray(weight, dtype=float)
         pairing = np.sum(np.conj(u.coeffs) * (v.coeffs @ w.T))
     return float(u.domain_length * pairing.real)
-
-
-def to_coefficient_csv(field: SpectralField) -> str:
-    """Dump coefficients as CSV rows ``k,component,re,im``."""
-    out = io.StringIO()
-    out.write("k,component,re,im\n")
-    cutoff = field.cutoff
-    for row, k in enumerate(range(-cutoff, cutoff + 1)):
-        for comp in range(field.n):
-            value = field.coeffs[row, comp]
-            out.write(f"{k},{comp + 1},{float(value.real)!r},{float(value.imag)!r}\n")
-    return out.getvalue()
-
-
-def to_physical_csv(field: SpectralField) -> str:
-    """Dump physical-space samples on ``2*(2N+1)`` uniform points."""
-    m = 2 * (2 * field.cutoff + 1)
-    points = np.arange(m) * (field.domain_length / m)
-    values = field.evaluate(points)
-    if field.real_valued:
-        columns = [f"u_{c + 1}" for c in range(field.n)]
-        rows = values
-    else:
-        columns = []
-        for c in range(field.n):
-            columns.extend([f"re_u_{c + 1}", f"im_u_{c + 1}"])
-        rows = np.empty((m, 2 * field.n))
-        rows[:, 0::2] = values.real
-        rows[:, 1::2] = values.imag
-    out = io.StringIO()
-    out.write("x," + ",".join(columns) + "\n")
-    for x, row in zip(points, np.atleast_2d(rows)):
-        out.write(f"{float(x)!r}," + ",".join(repr(float(v)) for v in row) + "\n")
-    return out.getvalue()

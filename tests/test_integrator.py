@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relaxbdf.harness import compute_error
+from relaxbdf.harness import ExperimentConfig, compute_error, run_convergence_study
 from relaxbdf.linalg import SingularMatrixError, lu_factor
 from relaxbdf.integrator import (
     NonFiniteStepError,
@@ -181,6 +181,29 @@ class TestStep:
         system = scalar_decay_system(epsilon=0.25, rate=1.0)
         with pytest.raises(SingularMatrixError):
             make_solver_state([constant_field(1.0)], system, bdf_coefficients(1), dt=0.25)
+
+    def test_singular_stiff_block_names_matrix_eps_and_dt(self):
+        system = scalar_decay_system(epsilon=0.25, rate=1.0)
+        with pytest.raises(SingularMatrixError, match=r"^BDF implicit matrix \(eps=0.25, dt=0.25\)"):
+            make_solver_state([constant_field(1.0)], system, bdf_coefficients(1), dt=0.25)
+        # ARS(4,4,3) stage: 1 - (h/2)/eps vanishes at h = 2 eps.
+        with pytest.raises(SingularMatrixError, match=r"^ARS stage matrix \(eps=0.25, substep dt=0.5\)"):
+            ars_startup(constant_field(1.0), system, 4, dt=0.5, substep_divisor=1)
+
+    def test_near_singular_stiff_block_judged_against_bulk_diagonal(self):
+        # 1 - dt/eps = -2.2e-16: tiny against the bulk diagonal 1, though it
+        # is the stiff block's own largest entry.
+        system = RelaxationSystem(
+            convection=np.zeros((2, 2)),
+            source=np.array([[0.0, 0.0], [0.0, 1.0]]),
+            stiff_size=1,
+            epsilon=0.1,
+            domain_length=TWO_PI,
+        )
+        with pytest.raises(SingularMatrixError, match="below threshold 1.000e-14"):
+            make_solver_state(
+                [constant_field(1.0, n=2)], system, bdf_coefficients(1), dt=0.1 * (1 + 2**-52)
+            )
 
     def test_one_step_error_second_order_for_q1(self):
         model = build_model("arz")
@@ -610,6 +633,67 @@ class TestRun:
             compute_error(run(u0, system, 2, dt, 0.5), reference) for dt in dts
         ]
         assert fit_order(dts, errors) == pytest.approx(2.0, abs=0.15)
+
+
+def dense_implicit_inverse(system, coeffs, dt):
+    """Inverse of the whole n x n BDF implicit matrix by one pivoted LU."""
+    matrix = coeffs.alpha[-1] * np.eye(system.dimension) - (
+        coeffs.beta * dt / system.epsilon
+    ) * np.asarray(system.source)
+    return lu_factor(matrix).solve(np.eye(system.dimension))
+
+
+class TestStiffLimit:
+    """Only the stiff block of the implicit matrix is factored, so the
+    solver works for every eps the exact oracle reaches."""
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_inverse_matches_dense_lu_bitwise(self, name, q):
+        model = build_model(name)
+        coeffs = bdf_coefficients(q)
+        for epsilon in (1.0, 1e-4, 1e-8, 1e-12, 1e-14):
+            system = model.system_at(epsilon)
+            u0 = initial_data(model, max(q, 2), 4, epsilon)
+            n, b = system.dimension, system.bulk_size
+            for dt in (1 / 20, 1 / 640, 1 / 12800):
+                state = make_solver_state([u0] * q, system, coeffs, dt)
+                expected = np.kron(dense_implicit_inverse(system, coeffs, dt).T, np.eye(2))
+                assert np.array_equal(state.implicit_block, expected)
+                assert np.array_equal(state.implicit_block[: 2 * b], np.eye(2 * n)[: 2 * b])
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_solver_state_below_double_precision_eps(self, name, q):
+        model = build_model(name)
+        system = model.system_at(1e-18)
+        u0 = initial_data(model, max(q, 2), 4, 1e-18)
+        state = make_solver_state([u0] * q, system, bdf_coefficients(q), 1 / 40)
+        b = system.bulk_size
+        assert np.array_equal(state.implicit_block[: 2 * b], np.eye(2 * system.dimension)[: 2 * b])
+        assert np.isfinite(state.implicit_block).all()
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("q", [3, 4])
+    @pytest.mark.parametrize("startup", ["exact", "ars:50"])
+    def test_tables_uniform_down_to_eps_1e_18(self, name, q, startup):
+        config = ExperimentConfig(
+            model=name,
+            order=q,
+            epsilons=(1e-8, 1e-16, 1e-18),
+            dts=(1 / 20, 1 / 40, 1 / 80),
+            t_final=1.0,
+            modes=16,
+            startup=startup,
+        )
+        blocks = run_convergence_study(config).blocks()
+        reference = blocks[1e-8]
+        for epsilon in (1e-16, 1e-18):
+            for row, ref in zip(blocks[epsilon], reference):
+                assert row.l2_error is not None, f"ERROR cell at eps={epsilon:g}, dt={row.dt:g}"
+                assert row.l2_error == pytest.approx(ref.l2_error, rel=1e-3)
+                if ref.order is not None:
+                    assert row.order == pytest.approx(ref.order, abs=0.01)
 
 
 class TestUniformStability:

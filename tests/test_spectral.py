@@ -7,8 +7,6 @@ from relaxbdf.spectral import (
     SpectralField,
     field_inner_product,
     project,
-    to_coefficient_csv,
-    to_physical_csv,
     zero_field,
 )
 
@@ -93,14 +91,6 @@ class TestDifferentiate:
             field = random_band_limited(rng, n=2, cutoff=cutoff, length=length)
             bound = (2 * math.pi * cutoff / length) * field.l2_norm()
             assert field.differentiate().l2_norm() <= bound * (1 + 1e-12)
-
-    def test_commutes_with_matrix_mixing(self):
-        rng = np.random.default_rng(8)
-        field = random_band_limited(rng, n=3)
-        mixing = rng.standard_normal((3, 3))
-        left = field.apply_matrix(mixing).differentiate()
-        right = field.differentiate().apply_matrix(mixing)
-        np.testing.assert_allclose(left.coeffs, right.coeffs, atol=1e-12)
 
 
 class TestNorm:
@@ -187,24 +177,3 @@ class TestFieldAlgebra:
             np.einsum("xi,ij,xj->", values, weight, values) * u.domain_length / 8192
         )
         assert field_inner_product(u, u, weight) == pytest.approx(oracle, rel=1e-9)
-
-
-class TestDumps:
-    def test_coefficient_csv_roundtrip(self):
-        rng = np.random.default_rng(2)
-        field = random_band_limited(rng, n=2, cutoff=3)
-        text = to_coefficient_csv(field)
-        lines = text.strip().splitlines()
-        assert lines[0] == "k,component,re,im"
-        assert len(lines) == 1 + 7 * 2
-        rebuilt = np.zeros_like(np.asarray(field.coeffs))
-        for line in lines[1:]:
-            k, comp, re, im = line.split(",")
-            rebuilt[int(k) + field.cutoff, int(comp) - 1] = float(re) + 1j * float(im)
-        np.testing.assert_array_equal(rebuilt, field.coeffs)
-
-    def test_physical_csv_shape(self):
-        field = zero_field(3, 4, 1.0)
-        lines = to_physical_csv(field).strip().splitlines()
-        assert lines[0] == "x,u_1,u_2,u_3"
-        assert len(lines) == 1 + 2 * (2 * 4 + 1)
