@@ -28,7 +28,7 @@ import numpy as np
 
 from .harness import ExperimentConfig, emit_table, run_convergence_study
 from .integrator import UnsupportedOrderError, bdf_coefficients
-from .linalg import _check_tol
+from .linalg import _check_positive
 from .models import MODEL_BUILDERS, build_model, initial_data
 from .oracle import exact_evolve
 from .system import SymmetrizerNotFoundError, _parse_number, check_structural_stability
@@ -161,7 +161,7 @@ def _cmd_check_stability(args) -> int:
 
 
 def _cmd_verify_theory(args) -> int:
-    _check_tol(args.tol)
+    _check_positive("tol", args.tol)
     ok = True
     rng = np.random.default_rng(args.seed)
     try:

@@ -3,9 +3,10 @@
 A study fixes a model, a scheme order and a mode cutoff, then sweeps a list
 of relaxation times against a decreasing list of time steps, comparing each
 run with a reference solution at the final time (the exact per-mode
-propagator by default, or a fine-step integrator run).  Results are collected
-into a table of L2 errors and observed orders and can be emitted as CSV or
-Markdown.
+propagator by default, or a fine-step integrator run).  Each block of one
+relaxation time runs its steps finest first, and its exact startups share
+the oracle's squaring chains.  Results are collected into a table of L2
+errors and observed orders and can be emitted as CSV or Markdown.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .integrator import _integer_step_count, _startup_divisor, bdf_coefficients, run
+from .linalg import _check_positive
 from .models import ModelSpec, build_model, initial_data
-from .oracle import _propagator_levels, exact_evolve, fine_step_reference
+from .oracle import _propagators, exact_evolve, fine_step_reference
 from .spectral import SpectralField
 from .system import _parse_number
 
@@ -46,7 +48,8 @@ class ExperimentConfig:
 
     ``startup`` is an :func:`relaxbdf.integrator.run` startup spec: "exact",
     "ars" or "ars:N".  ``reference`` is "exact" or "fine:DT", whose step must
-    divide the interval.  ``order`` must be a BDF order, 1..4.
+    divide the interval.  ``order`` must be a BDF order, 1..4.  Every epsilon
+    must be finite and positive, and the times finite.
     """
 
     model: str
@@ -70,8 +73,13 @@ class ExperimentConfig:
             raise ValueError("at least one epsilon is required")
         if not self.dts:
             raise ValueError("at least one dt is required")
+        for epsilon in self.epsilons:
+            _check_positive("epsilon", epsilon)
         if any(b >= a for a, b in zip(self.dts, self.dts[1:])):
             raise ValueError("dts must be strictly decreasing")
+        for name, value in (("t_start", self.t_start), ("t_final", self.t_final)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         span = self.t_final - self.t_start
         if span <= 0.0:
             raise ValueError("t_final must exceed t_start")
@@ -178,58 +186,18 @@ def _reference_field(
     )
 
 
-def _power_of_two_chains(dts) -> list[list[float]]:
-    """Group steps into chains, each finest first, whose members are exact
-    power-of-two multiples of the chain's finest step; a step that fits no
-    chain is a chain of one."""
-    chains: list[list[float]] = []
-    for dt in sorted(dts):
-        for chain in chains:
-            mantissa, exponent = math.frexp(dt / chain[0])
-            if mantissa == 0.5 and dt == chain[0] * 2.0 ** (exponent - 1):
-                chain.append(dt)
-                break
-        else:
-            chains.append([dt])
-    return chains
-
-
-def _startups(config: ExperimentConfig, system, cutoff: int, chain: list[float]):
-    """``run``'s startup for each step of a chain, finest first.
-
-    An exact startup of order q >= 2 is the per-mode map ``exp(dt M_k)``,
-    every level from one squaring chain.  From the first level the chain
-    cannot build, the remaining cells get "exact" and build, or fail on,
-    their own propagators.
-    """
-    if config.startup != "exact" or config.order == 1:
-        yield from (config.startup for _ in chain)
-        return
-    levels = _propagator_levels(system, cutoff, chain[0], round(math.log2(chain[-1] / chain[0])))
-    level = -1
-    for served, dt in enumerate(chain):
-        try:
-            while level < round(math.log2(dt / chain[0])):
-                step = None  # free the previous level's stack before the next is built
-                step = next(levels)
-                level += 1
-        except Exception:
-            yield from ("exact" for _ in chain[served:])
-            return
-        yield step
-
-
 def run_convergence_study(
     config: ExperimentConfig, model: ModelSpec | None = None
 ) -> ConvergenceTable:
     """Run the full (epsilon, dt) grid of a study and assemble the table.
 
     Cells are independent; a failing cell is recorded with an error marker and
-    the remaining cells still run.  The steps of a block run in chains of
-    exact power-of-two multiples, finest first, so that an exact startup
-    takes each chain's propagators from one squaring chain; the rows come
-    in config order.  An order the model's initial data does not define
-    raises ``UnsupportedOrderError`` before the first block.
+    the remaining cells still run.  The steps of a block run finest first, so
+    that an exact startup of order q >= 2 squares the previous cell's
+    propagators once more wherever its ``dt`` is exactly twice the previous
+    one (see :mod:`relaxbdf.oracle`); the rows come in config order.  An
+    order the model's initial data does not define raises
+    ``UnsupportedOrderError`` before the first block.
     Output is deterministic for identical configs.
     """
     if model is None:
@@ -246,8 +214,10 @@ def run_convergence_study(
         logger.warning(
             "some dt exceed the sufficient stability bound 1/N^2; proceeding anyway"
         )
+    chained = config.startup == "exact" and config.order > 1
     rows: list[TableRow] = []
     for epsilon in config.epsilons:
+        chains = [] if chained else None  # the block's squaring chains, filled by the oracle
         system = model.system_at(epsilon)
         try:
             u0 = initial_data(model, config.order, config.modes, epsilon)
@@ -257,23 +227,22 @@ def run_convergence_study(
             rows.extend(TableRow(epsilon, dt, None, None) for dt in config.dts)
             continue
         errors: dict[float, float | None] = {}
-        for chain in _power_of_two_chains(config.dts):
-            startups = _startups(config, system, u0.cutoff, chain)
-            for dt in chain:
-                try:
-                    final = run(
-                        u0,
-                        system,
-                        config.order,
-                        dt,
-                        config.t_final,
-                        t_start=config.t_start,
-                        startup=next(startups),
-                    )
-                    errors[dt] = error_metric(final, reference)
-                except Exception as exc:
-                    logger.exception("cell failed: epsilon=%g dt=%g: %s", epsilon, dt, exc)
-                    errors[dt] = None
+        for dt in reversed(config.dts):
+            try:
+                final = run(
+                    u0,
+                    system,
+                    config.order,
+                    dt,
+                    config.t_final,
+                    t_start=config.t_start,
+                    startup=config.startup if chains is None
+                    else _propagators(system, u0.cutoff, dt, chains),
+                )
+                errors[dt] = error_metric(final, reference)
+            except Exception as exc:
+                logger.exception("cell failed: epsilon=%g dt=%g: %s", epsilon, dt, exc)
+                errors[dt] = None
         previous: tuple[float, float] | None = None
         for dt in config.dts:
             error, order = errors[dt], None

@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import PIVOT_RTOL, SingularMatrixError, lu_factor
+from .linalg import PIVOT_RTOL, SingularMatrixError, _check_positive, lu_factor
 from .oracle import _propagators
 from .spectral import SpectralField
 from .system import RelaxationSystem
@@ -347,13 +347,14 @@ def imex_bdf_step(
 
 @dataclass(frozen=True)
 class ImexRungeKuttaTableau:
-    """Paired explicit/implicit Butcher tableaux with a trivial first stage."""
+    """Paired explicit/implicit Butcher tableaux with a trivial first stage.
+
+    Both schemes are globally stiffly accurate: the weights are the last rows.
+    """
 
     name: str
     explicit: np.ndarray  # (s+1, s+1), strictly lower triangular
     implicit: np.ndarray  # (s+1, s+1), first column zero, nonzero diagonal after
-    weights_explicit: np.ndarray
-    weights_implicit: np.ndarray
 
     @property
     def stages(self) -> int:
@@ -373,13 +374,7 @@ def _ars222() -> ImexRungeKuttaTableau:
         [0.0, g, 0.0],
         [0.0, 1.0 - g, g],
     ])
-    return ImexRungeKuttaTableau(
-        name="ARS(2,2,2)",
-        explicit=explicit,
-        implicit=implicit,
-        weights_explicit=np.array([d, 1.0 - d, 0.0]),
-        weights_implicit=np.array([0.0, 1.0 - g, g]),
-    )
+    return ImexRungeKuttaTableau(name="ARS(2,2,2)", explicit=explicit, implicit=implicit)
 
 
 def _ars443() -> ImexRungeKuttaTableau:
@@ -397,13 +392,7 @@ def _ars443() -> ImexRungeKuttaTableau:
         [0.0, -1 / 2, 1 / 2, 1 / 2, 0.0],
         [0.0, 3 / 2, -3 / 2, 1 / 2, 1 / 2],
     ])
-    return ImexRungeKuttaTableau(
-        name="ARS(4,4,3)",
-        explicit=explicit,
-        implicit=implicit,
-        weights_explicit=np.array([1 / 4, 7 / 4, 3 / 4, -7 / 4, 0.0]),
-        weights_implicit=np.array([0.0, 3 / 2, -3 / 2, 1 / 2, 1 / 2]),
-    )
+    return ImexRungeKuttaTableau(name="ARS(4,4,3)", explicit=explicit, implicit=implicit)
 
 
 _ARS222 = _ars222()
@@ -459,7 +448,7 @@ def _ars_increment(
         stage = stage_inverse @ rhs if i else rhs
         fe.append(explicit @ stage)
         fi.append(source @ stage)
-    return weighted_sum(np.zeros_like(identity), tableau.weights_explicit, tableau.weights_implicit)
+    return weighted_sum(np.zeros_like(identity), tableau.explicit[-1], tableau.implicit[-1])
 
 
 def _increment_power(increment: np.ndarray, count: int) -> np.ndarray:
@@ -537,8 +526,7 @@ def _startup_divisor(spec: str) -> int | None:
 def _integer_step_count(span: float, dt: float, q: int) -> int:
     """Number of steps of size ``dt`` in ``span``; it must be an integer that
     holds the q-1 startup steps of an order-q history."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    _check_positive("dt", dt)
     steps = span / dt
     rounded = round(steps)
     if abs(steps - rounded) > 1e-9 * max(1.0, abs(rounded)):

@@ -336,9 +336,10 @@ class ConditionCheck:
         return self.passed
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+def _check_positive(name: str, value: float) -> None:
+    """Reject a ``value`` that is not finite and positive, naming it."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def symmetry_residual(matrix) -> float:
@@ -354,7 +355,7 @@ def _eigenvalue_check(matrix, tol: float, *, largest: bool, bound: float, name: 
     the largest eigenvalue of the symmetric part, passing when ``<= bound``,
     or the smallest, passing when ``> bound``.
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
     a = validate_matrix(matrix, stack=False, name=f"{name} input")
     asymmetry = max(symmetry_residual(a), float(np.abs(a.imag).max()))
     if asymmetry > tol:

@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .integrator import UnsupportedOrderError
-from .linalg import inverse
+from .linalg import _check_positive, inverse
 from .spectral import SpectralField, project
 from .system import (
     RelaxationSystem,
@@ -335,8 +335,7 @@ def initial_data(model: ModelSpec, q: int, cutoff: int, epsilon: float) -> Spect
         raise ValueError(
             f"cutoff {cutoff} cannot represent data with modes up to {model.data_cutoff}"
         )
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    _check_positive("epsilon", epsilon)
     raw = model.profile(model, q, model.data_cutoff, epsilon)
     transformed = raw @ np.asarray(model.transform).T
     padded = np.zeros((2 * cutoff + 1, transformed.shape[1]), dtype=complex)

@@ -7,13 +7,14 @@ initial data this is also the exact PDE solution, which makes it the
 reference of choice for convergence studies; a conventional fine-step
 reference is provided as a cross-check.  The propagators of all modes form
 one stack, one :func:`~relaxbdf.linalg.matrix_exponential` call per block of
-modes.  The stacks at ``t, 2t, ..., 2^m t`` come from one squaring chain per
-block: each level squares the previous level's working-precision powers once
-more wherever that is bit-identical to a separate call at its own time.  So
-a study's exact startups for power-of-two multiples of its finest ``dt`` cost
-about one squaring each.  A propagator's error is about ``|t M_k|_1 u``
-relative, ``u`` being the working precision of its squaring chain; the k=0
-one is the identity on the conserved components.
+modes.  Successive stacks of one system may share a list of squaring chains,
+one per block: a stack at twice the previous time squares that call's
+working-precision powers once more wherever that is bit-identical to a
+separate call, and any other time starts over.  So a study's exact startups
+at ``dt, 2 dt, 4 dt, ...``, taken finest first, cost about one squaring each.
+A propagator's error is about ``|t M_k|_1 u`` relative, ``u`` being the
+working precision of its squaring chain; the k=0 one is the identity on the
+conserved components.
 """
 
 from __future__ import annotations
@@ -48,18 +49,18 @@ def _propagators(
 
     Only modes ``k >= 0`` are exponentiated, in blocks of ``_MODE_BLOCK``;
     mode ``-k`` has the conjugate generator and gets the entrywise conjugate,
-    which keeps real fields exactly real.  ``chains``, one per block, carry
-    the working-precision powers of the previous call, at ``t / 2``.
+    which keeps real fields exactly real.  ``chains`` is a list the calls
+    of one system and cutoff share; it gets one ``SquaringChain`` per block
+    on first use, which carries that block's powers to the next call.
     """
     stack = np.empty((2 * cutoff + 1, system.dimension, system.dimension), dtype=complex)
     for index, first in enumerate(range(0, cutoff + 1, _MODE_BLOCK)):
         ks = np.arange(first, min(first + _MODE_BLOCK, cutoff + 1))
         matrix = mode_matrix(system, ks)
+        if chains is not None and index == len(chains):
+            chains.append(SquaringChain())
         try:
-            if chains is None:
-                block = matrix_exponential(matrix, t)
-            else:
-                block = matrix_exponential(matrix, t, chain=chains[index])
+            block = matrix_exponential(matrix, t, chain=None if chains is None else chains[index])
         except ExponentialOverflowError as exc:
             raise ExponentialOverflowError(
                 f"mode k={ks[exc.index]} at t={t:g}, eps={system.epsilon:g}: {exc}"
@@ -68,18 +69,6 @@ def _propagators(
         stack[cutoff - ks] = np.conj(block)
         stack[cutoff + ks] = block
     return stack
-
-
-def _propagator_levels(system: RelaxationSystem, cutoff: int, t: float, doublings: int):
-    """Yield the propagator stacks at ``t, 2t, ..., 2^doublings t``.
-
-    Between levels each block of modes keeps only its working-precision
-    powers, in a ``SquaringChain``; every level equals a separate
-    ``_propagators`` call at its own time bit for bit.
-    """
-    chains = [SquaringChain() for _ in range(0, cutoff + 1, _MODE_BLOCK)]
-    for level in range(doublings + 1):
-        yield _propagators(system, cutoff, t * 2.0 ** level, chains)
 
 
 def exact_evolve(u0: SpectralField, system: RelaxationSystem, t: float) -> SpectralField:
@@ -101,21 +90,13 @@ def fine_step_reference(
     t_final: float,
     *,
     t_start: float = 0.0,
-    startup: str = "exact",
 ) -> SpectralField:
-    """Reference by brute force: the IMEX-BDF integrator at a much finer step.
+    """Reference by brute force: the IMEX-BDF integrator at a much finer step,
+    with the exact startup.
 
     Exists to cross-validate :func:`exact_evolve`; ``dt_ref`` must divide the
     interval.
     """
     from .integrator import run
 
-    return run(
-        u0,
-        system,
-        q,
-        dt_ref,
-        t_final,
-        t_start=t_start,
-        startup=startup,
-    )
+    return run(u0, system, q, dt_ref, t_final, t_start=t_start)

@@ -39,7 +39,7 @@ import numpy as np
 from .linalg import (
     ConditionCheck,
     SingularMatrixError,
-    _check_tol,
+    _check_positive,
     _eigenvalue_check,
     inverse,
     is_negative_semidefinite,
@@ -142,8 +142,7 @@ class RelaxationSystem:
         n = conv.shape[0]
         if not 0 < self.stiff_size <= n:
             raise ValueError(f"stiff_size must be in (0, {n}], got {self.stiff_size}")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        _check_positive("epsilon", self.epsilon)
         if not self.domain_length > 0.0:
             raise ValueError("domain_length must be positive")
         cleaned = _snap_normal_form(src, self.stiff_size)
@@ -263,7 +262,7 @@ def check_structural_stability(system, witness: StabilityWitness, tol: float = 1
     source)`` pair; the latter lets a witness with a nontrivial transform be
     certified against the untransformed matrices.
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
     conv, src = _system_matrices(system)
     n = conv.shape[0]
     r = witness.stiff_size
@@ -499,7 +498,7 @@ def find_symmetrizer(system: RelaxationSystem, tol: float = 1e-10) -> StabilityW
     Raises ``SymmetrizerNotFoundError`` with the number of directions scanned
     when none passes.
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
     space = _symmetrizer_solution_space(system)
     if not space:
         raise SymmetrizerNotFoundError("constraint A0*A = A^T*A0 admits only A0 = 0")

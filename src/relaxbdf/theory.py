@@ -150,6 +150,10 @@ def _identity_residuals(
     return float(max(np.abs(lhs1 - rhs1).max(), np.abs(lhs2 - rhs2).max()))
 
 
+# Length of the vector tuples of the weighted identity.
+_VECTOR_DIM = 3
+
+
 def _random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random SPD matrix with eigenvalues in [0.1, 10] (condition <= 100)."""
     seed_matrix = rng.standard_normal((dim, dim))
@@ -163,13 +167,12 @@ def verify_multiplier_identity(
     coeffs: BDFCoefficients,
     samples: int = 1000,
     rng: np.random.Generator | None = None,
-    vector_dim: int = 3,
 ) -> float:
     """Max absolute residual of both identities over random tuples.
 
     Checks the scalar identities on ``samples`` uniform tuples in
     ``[-1, 1]^(q+1)`` and the weighted generalization on vector tuples under
-    a batch of random SPD weights.
+    a batch of random SPD weights (tuples of ``_VECTOR_DIM``-vectors).
     """
     if data.q != coeffs.q:
         raise ValueError("multiplier data and scheme coefficients disagree on the order")
@@ -181,8 +184,8 @@ def verify_multiplier_identity(
     batches = 8
     per_batch = max(1, samples // batches)
     for _ in range(batches):
-        weight = _random_spd(rng, vector_dim)
-        vector_tuples = rng.uniform(-1.0, 1.0, size=(per_batch, data.q + 1, vector_dim))
+        weight = _random_spd(rng, _VECTOR_DIM)
+        vector_tuples = rng.uniform(-1.0, 1.0, size=(per_batch, data.q + 1, _VECTOR_DIM))
         worst = max(worst, _identity_residuals(data, coeffs, vector_tuples, weight))
     return worst
 
@@ -192,25 +195,19 @@ def discrete_energy(
     system: RelaxationSystem,
     witness: StabilityWitness,
     dt: float,
-    form: str = "auto",
 ) -> float:
     """Energy functional of a length-q history window.
 
     For q <= 2 this is the full multiplier energy
     ``int G_A0(U^n..U^{n+q-1}) + (beta dt / eps) int A_M(W^{n+1}..)``; for
-    q >= 3 the coefficients are not transcribed, so ``form="auto"`` degrades
-    to the symmetrizer-weighted surrogate ``sum_i |U^i|_A0^2`` and
-    ``form="full"`` raises ``UnsupportedOrderError``.
+    q >= 3 the coefficients are not transcribed, so it degrades to the
+    symmetrizer-weighted surrogate ``sum_i |U^i|_A0^2``.
     """
     q = len(history)
     if q == 0:
         raise ValueError("history must contain at least one field")
     symmetrizer = np.asarray(witness.symmetrizer)
-    if form not in ("auto", "full", "surrogate"):
-        raise ValueError(f"unknown form {form!r}")
-    if form == "full" and q > 2:
-        raise UnsupportedOrderError("full multiplier energy is available for q <= 2")
-    if form == "surrogate" or q > 2:
+    if q > 2:
         return sum(field_inner_product(u, u, symmetrizer) for u in history)
 
     data = multiplier_data(q)

@@ -223,6 +223,35 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 1
         assert "error: dt must be finite and positive, got -0.05" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps, message", [
+        ("0", "epsilon must be finite and positive, got 0.0"),
+        ("1,-1/100", "epsilon must be finite and positive, got -0.01"),
+    ])
+    def test_bad_eps_is_usage_error(self, tmp_path, capsys, eps, message):
+        code = main(["run", "--model", "grad", "--order", "2", f"--eps={eps}", "--dt", "1/20",
+                     "--modes", "8", "--tfinal", "1", "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("key, token, message", [
+        ("epsilons", "[Infinity]", "epsilon must be finite and positive, got inf"),
+        ("t_final", "Infinity", "t_final must be finite, got inf"),
+        ("t_final", "NaN", "t_final must be finite, got nan"),
+        ("t_start", "-Infinity", "t_start must be finite, got -inf"),
+    ])
+    def test_nonfinite_config_value_is_usage_error(self, tmp_path, capsys, key, token, message):
+        doc = {"model": '"grad"', "order": "2", "epsilons": "[1]", "dts": "[0.05]",
+               "t_final": "1", key: token}
+        path = tmp_path / "study.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_malformed_ars_divisor_is_usage_error(self, capsys):
         code = main(["run", "--model", "grad", "--order", "2", "--eps", "1", "--dt", "1/20",
                      "--modes", "8", "--tfinal", "1", "--startup", "ars:x"])

@@ -14,7 +14,6 @@ from relaxbdf.harness import (
     ExperimentConfig,
     ShapeMismatchError,
     TableRow,
-    _power_of_two_chains,
     compute_error,
     emit_table,
     grid_error,
@@ -138,6 +137,22 @@ class TestConfig:
     def test_from_json_rejects_bad_dt(self, token, value):
         text = f'{{"model": "grad", "order": 2, "epsilons": [1], "dts": [{token}], "t_final": 1}}'
         with pytest.raises(ValueError, match=f"dt must be finite and positive, got {value}"):
+            ExperimentConfig.from_json(text)
+
+    @pytest.mark.parametrize("key, token, message", [
+        ("epsilons", "[Infinity]", "epsilon must be finite and positive, got inf"),
+        ("epsilons", "[1, 0]", "epsilon must be finite and positive, got 0.0"),
+        ("epsilons", '["-1/1000"]', "epsilon must be finite and positive, got -0.001"),
+        ("epsilons", "[NaN]", "epsilon must be finite and positive, got nan"),
+        ("t_final", "Infinity", "t_final must be finite, got inf"),
+        ("t_final", "NaN", "t_final must be finite, got nan"),
+        ("t_start", "-Infinity", "t_start must be finite, got -inf"),
+    ])
+    def test_from_json_rejects_bad_epsilon_or_time(self, key, token, message):
+        doc = {"model": '"grad"', "order": "2", "epsilons": "[1]", "dts": '["1/20"]', "t_final": "1"}
+        doc[key] = token
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_json(text)
 
     def test_bad_norm(self):
@@ -294,13 +309,9 @@ def per_cell_errors(config):
 
 
 class TestPropagatorChains:
-    def test_chains_group_exact_power_of_two_multiples(self):
-        assert _power_of_two_chains((1 / 20, 1 / 40, 1 / 80)) == [[1 / 80, 1 / 40, 1 / 20]]
-        assert _power_of_two_chains((1 / 20, 1 / 30, 1 / 60)) == [[1 / 60, 1 / 30], [1 / 20]]
-        assert _power_of_two_chains((0.3, 0.1)) == [[0.1], [0.3]]
-        assert _power_of_two_chains((1 / 10, 1 / 80)) == [[1 / 80, 1 / 10]]
-
-    @pytest.mark.parametrize("dts", [(1 / 20, 1 / 40, 1 / 80, 1 / 160), (1 / 20, 1 / 30, 1 / 60)])
+    # 1/30 -> 1/20 and 1/80 -> 1/10 are not doublings: the chain starts over.
+    @pytest.mark.parametrize("dts", [(1 / 20, 1 / 40, 1 / 80, 1 / 160), (1 / 20, 1 / 30, 1 / 60),
+                                     (1 / 10, 1 / 80)])
     @pytest.mark.parametrize("order", [2, 4])
     def test_cells_match_separate_exact_runs(self, dts, order):
         # eps=1 has depth-0 modes, 1e-5 crosses the depth-10 switch between

@@ -83,10 +83,10 @@ def substep_loop_startup(u0, system, q, dt, substep_divisor, real=np.float64):
                 fi.append(f_implicit(stage))
             update = u.copy()
             for j in range(tableau.stages):
-                if tableau.weights_explicit[j] != 0.0:
-                    update += (substep * tableau.weights_explicit[j]) * fe[j]
-                if tableau.weights_implicit[j] != 0.0:
-                    update += (substep * tableau.weights_implicit[j]) * fi[j]
+                if tableau.explicit[-1, j] != 0.0:
+                    update += (substep * tableau.explicit[-1, j]) * fe[j]
+                if tableau.implicit[-1, j] != 0.0:
+                    update += (substep * tableau.implicit[-1, j]) * fi[j]
             u = update
         fields.append(u)
     return fields
@@ -595,9 +595,9 @@ class TestRun:
         calls = []
         original = oracle.matrix_exponential
 
-        def counting(matrix, t=1.0):
+        def counting(matrix, t=1.0, **kwargs):
             calls.append((len(matrix), t))
-            return original(matrix, t)
+            return original(matrix, t, **kwargs)
 
         monkeypatch.setattr(oracle, "matrix_exponential", counting)
         model = build_model("broadwell")

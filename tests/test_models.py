@@ -250,6 +250,11 @@ class TestInitialData:
         with pytest.raises(ValueError):
             initial_data(make_broadwell(), 3, 2, 1.0)
 
+    @pytest.mark.parametrize("epsilon", [0.0, float("inf"), float("nan")])
+    def test_nonpositive_or_nonfinite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=f"epsilon must be finite and positive, got {epsilon!r}"):
+            initial_data(make_broadwell(), 3, 8, epsilon)
+
     @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
     def test_relaxed_stiff_part_scales_with_epsilon(self, name):
         # After the initial transient the stiff components sit at O(eps).

@@ -8,7 +8,6 @@ from relaxbdf.integrator import run
 from relaxbdf.linalg import matrix_exponential
 from relaxbdf.models import build_model, initial_data
 from relaxbdf.oracle import (
-    _propagator_levels,
     _propagators,
     exact_evolve,
     fine_step_reference,
@@ -68,9 +67,10 @@ class TestExactEvolve:
         # 130 modes make three blocks; eps=1 has depth-0 modes, 1e-5 crosses
         # the switch to extended precision and 1e-10 is deep throughout.
         system = build_model(name).system_at(epsilon)
-        levels = list(_propagator_levels(system, 130, 1 / 160, 3))
-        assert len(levels) == 4
-        for level, stack in enumerate(levels):
+        chains = []
+        for level in range(4):
+            stack = _propagators(system, 130, 2.0 ** level / 160, chains)
+            assert [chain.t for chain in chains] == [2.0 ** level / 160] * 3
             assert np.array_equal(stack, _propagators(system, 130, 2.0 ** level / 160))
 
     def test_mode_matrix_accepts_mode_arrays(self):

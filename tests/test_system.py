@@ -154,6 +154,11 @@ class TestRelaxationSystem:
         with pytest.raises(ValueError):
             system.with_epsilon(-1.0)
 
+    @pytest.mark.parametrize("epsilon", [0.0, float("inf"), float("nan")])
+    def test_nonpositive_or_nonfinite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=f"epsilon must be finite and positive, got {epsilon!r}"):
+            arz_normal_form().with_epsilon(epsilon)
+
 
 class TestCertificate:
     def test_moment_system_identity_witness(self):

@@ -182,8 +182,6 @@ class TestDiscreteEnergy:
         history = [u0, u0, u0]
         surrogate = discrete_energy(history, system, model.witness, 0.1)
         assert surrogate == pytest.approx(3.0 * u0.l2_norm() ** 2, rel=1e-12)
-        with pytest.raises(UnsupportedOrderError):
-            discrete_energy(history, system, model.witness, 0.1, form="full")
 
     @pytest.mark.parametrize("epsilon", [1e-8, 1e-4, 1.0])
     def test_first_order_energy_growth_bounded(self, epsilon):
