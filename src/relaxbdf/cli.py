@@ -31,7 +31,7 @@ from .integrator import UnsupportedOrderError, bdf_coefficients
 from .linalg import _check_positive
 from .models import MODEL_BUILDERS, build_model, initial_data
 from .oracle import exact_evolve
-from .system import SymmetrizerNotFoundError, _parse_number, check_structural_stability
+from .system import SymmetrizerNotFoundError, check_structural_stability
 from .theory import (
     fit_order,
     multiplier_data,
@@ -66,8 +66,9 @@ def _configure_logging(level: str) -> None:
     package.propagate = False
 
 
-def _number_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_number(tok) for tok in text.split(",") if tok)
+def _tokens(text: str) -> tuple[str, ...]:
+    """The comma-separated numbers of a flag; the config parses them."""
+    return tuple(tok for tok in text.split(",") if tok)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,11 +116,11 @@ def _config_from_args(args) -> ExperimentConfig:
     cli_fields = {
         "model": args.model,
         "order": args.order,
-        "epsilons": _number_list(args.eps) if args.eps else None,
-        "dts": _number_list(args.dt) if args.dt else None,
+        "epsilons": _tokens(args.eps) if args.eps else None,
+        "dts": _tokens(args.dt) if args.dt else None,
         "modes": args.modes,
-        "t_start": _parse_number(args.t0) if args.t0 else None,
-        "t_final": _parse_number(args.tfinal) if args.tfinal else None,
+        "t_start": args.t0 or None,
+        "t_final": args.tfinal or None,
         "startup": args.startup,
         "reference": args.ref,
         "fmt": args.fmt,

@@ -5,8 +5,10 @@ of relaxation times against a decreasing list of time steps, comparing each
 run with a reference solution at the final time (the exact per-mode
 propagator by default, or a fine-step integrator run).  Each block of one
 relaxation time runs its steps finest first, and its exact startups share
-the oracle's squaring chains.  Results are collected into a table of L2
-errors and observed orders and can be emitted as CSV or Markdown.
+the oracle's squaring chains; its exact reference is computed after its
+cells, from the powers those chains hold.  Results are collected into a
+table of L2 errors and observed orders and can be emitted as CSV or
+Markdown.
 """
 
 from __future__ import annotations
@@ -67,8 +69,10 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilons", tuple(_parse_number(e) for e in self.epsilons))
-        object.__setattr__(self, "dts", tuple(_parse_number(d) for d in self.dts))
+        object.__setattr__(self, "epsilons", tuple(_number("epsilon", e) for e in self.epsilons))
+        object.__setattr__(self, "dts", tuple(_number("dt", d) for d in self.dts))
+        for name in ("t_start", "t_final"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if not self.epsilons:
             raise ValueError("at least one epsilon is required")
         if not self.dts:
@@ -112,9 +116,17 @@ class ExperimentConfig:
         return cls(**{f.name: _FROM_JSON.get(f.name, lambda v: v)(doc[f.name]) for f in specs})
 
 
-# How from_json reads the scalar fields; __post_init__ parses the number lists.
-_FROM_JSON = {"order": int, "modes": int, "t_final": _parse_number, "t_start": _parse_number,
-              "overrides": dict}
+# How from_json reads the scalar fields; __post_init__ parses the numbers.
+_FROM_JSON = {"order": int, "modes": int, "overrides": dict}
+
+
+def _number(name: str, value) -> float:
+    """``_parse_number`` of a config value; a bad one is a ``ValueError``
+    naming the field."""
+    try:
+        return _parse_number(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{name} must be a number or a fraction string, got {value!r}") from exc
 
 
 def _parse_reference(spec: str) -> tuple[str, float]:
@@ -172,10 +184,11 @@ def _reference_field(
     config: ExperimentConfig,
     u0: SpectralField,
     system,
+    chains,
 ) -> SpectralField:
     kind, dt_ref = _parse_reference(config.reference)
     if kind == "exact":
-        return exact_evolve(u0, system, config.t_final - config.t_start)
+        return exact_evolve(u0, system, config.t_final - config.t_start, chains)
     return fine_step_reference(
         u0,
         system,
@@ -195,9 +208,11 @@ def run_convergence_study(
     the remaining cells still run.  The steps of a block run finest first, so
     that an exact startup of order q >= 2 squares the previous cell's
     propagators once more wherever its ``dt`` is exactly twice the previous
-    one (see :mod:`relaxbdf.oracle`); the rows come in config order.  An
-    order the model's initial data does not define raises
-    ``UnsupportedOrderError`` before the first block.
+    one (see :mod:`relaxbdf.oracle`); the rows come in config order.  The
+    block's reference comes after its cells: an exact one raises the powers
+    the chains were left with to a whole power where it can, and a failing
+    one marks every row of its block.  An order the model's initial data
+    does not define raises ``UnsupportedOrderError`` before the first block.
     Output is deterministic for identical configs.
     """
     if model is None:
@@ -219,30 +234,32 @@ def run_convergence_study(
     for epsilon in config.epsilons:
         chains = [] if chained else None  # the block's squaring chains, filled by the oracle
         system = model.system_at(epsilon)
+        finals: dict[float, SpectralField | None] = {}
         try:
             u0 = initial_data(model, config.order, config.modes, epsilon)
-            reference = _reference_field(config, u0, system)
+            for dt in reversed(config.dts):
+                try:
+                    finals[dt] = run(
+                        u0,
+                        system,
+                        config.order,
+                        dt,
+                        config.t_final,
+                        t_start=config.t_start,
+                        startup=config.startup if chains is None
+                        else _propagators(system, u0.cutoff, dt, chains),
+                    )
+                except Exception as exc:
+                    logger.exception("cell failed: epsilon=%g dt=%g: %s", epsilon, dt, exc)
+                    finals[dt] = None
+            reference = _reference_field(config, u0, system, chains)
+            errors = {dt: None if final is None else error_metric(final, reference)
+                      for dt, final in finals.items()}
+            del finals, reference  # before the next block's cells run
         except Exception:
-            logger.exception("block setup failed for epsilon=%g", epsilon)
+            logger.exception("block failed for epsilon=%g", epsilon)
             rows.extend(TableRow(epsilon, dt, None, None) for dt in config.dts)
             continue
-        errors: dict[float, float | None] = {}
-        for dt in reversed(config.dts):
-            try:
-                final = run(
-                    u0,
-                    system,
-                    config.order,
-                    dt,
-                    config.t_final,
-                    t_start=config.t_start,
-                    startup=config.startup if chains is None
-                    else _propagators(system, u0.cutoff, dt, chains),
-                )
-                errors[dt] = error_metric(final, reference)
-            except Exception as exc:
-                logger.exception("cell failed: epsilon=%g dt=%g: %s", epsilon, dt, exc)
-                errors[dt] = None
         previous: tuple[float, float] | None = None
         for dt in config.dts:
             error, order = errors[dt], None

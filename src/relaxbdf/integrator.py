@@ -581,6 +581,7 @@ def run(
     if total == q - 1:
         return history[-1]
     state = make_solver_state(history, system, coeffs, dt)
+    del history  # the state holds copies; free the startup fields while stepping
     with _blow_up_check(state, system):
         final = _advance(state, total - (q - 1))
     return _field(state, final)

@@ -222,21 +222,100 @@ def _working_dtype(squarings: int, dtype: np.dtype) -> np.dtype:
     return dtype
 
 
+def _scaled_depths(a: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``t * a`` for a stack ``a`` and the squaring depth of each slice, -1
+    for a zero slice; an overflowing slice or one past ``MAX_SQUARINGS``
+    raises ``ExponentialOverflowError``."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    # An overflowing t*M is reported below, by slice, as a non-finite norm.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = t * a
+        norms = np.abs(scaled).sum(axis=1).max(axis=1)
+    depths = np.full(len(scaled), -1)
+    for index, norm1 in enumerate(norms.tolist()):
+        if norm1 == 0.0:
+            continue
+        if not math.isfinite(norm1):
+            raise ExponentialOverflowError(f"|t*matrix|_1 overflows at t = {t:.3e}", index)
+        squarings = max(0, math.ceil(math.log2(norm1)))
+        if squarings > MAX_SQUARINGS:
+            raise ExponentialOverflowError(
+                f"|t*matrix|_1 = {norm1:.3e} needs {squarings} squarings (cap {MAX_SQUARINGS})",
+                index,
+            )
+        depths[index] = squarings
+    return scaled, depths
+
+
+def _assemble(scaled: np.ndarray, powers, multiple: int = 1) -> np.ndarray:
+    """Cast each group's working-precision power into one float64/complex128
+    stack, reject a non-finite one and set the exact identity rows.
+
+    ``multiple`` is the power the groups were raised to after squaring.
+    """
+    result = np.empty_like(scaled, dtype=np.result_type(scaled.dtype, np.float64))
+    for squarings, members, power in powers:
+        power = power.astype(result.dtype, copy=False)
+        overflowed = np.flatnonzero(~np.isfinite(power).all(axis=(1, 2)))
+        if overflowed.size:
+            raised = f" and raised to the power {multiple}" if multiple > 1 else ""
+            raise ExponentialOverflowError(
+                f"matrix exponential overflowed during {squarings} squarings{raised}",
+                members[overflowed[0]],
+            )
+        result[members] = power
+    # A zero row of M is an identity row of exp(tM), and a zero slice is all
+    # zero rows.  Set them exactly: complex division (b/b as b*(1/b)) in the
+    # Pade solve can round a 1 down.
+    slices, rows = np.nonzero(~scaled.any(axis=2))
+    result[slices, rows] = np.eye(scaled.shape[-1])[rows]
+    return result
+
+
 class SquaringChain:
     """The working-precision powers of the last ``matrix_exponential`` call
-    made with this chain, kept for a call on the same matrices at twice the
-    time.
+    made with this chain, kept for later calls on the same matrices.
 
-    That call squares a slice's kept power once more, instead of starting it
-    over, whenever the result is bit-identical to starting over: the slice's
-    squaring depth rises by exactly one, its working precision stays the same
-    and ``2t * M`` is exactly twice ``t * M``.  Every other slice is computed
-    from scratch.  ``groups`` holds ``(depth, slice indices, power)``.
+    A ``matrix_exponential`` call at twice the time squares a slice's kept
+    power once more, instead of starting it over, whenever the result is
+    bit-identical to starting over: the slice's squaring depth rises by
+    exactly one, its working precision stays the same and ``2t * M`` is
+    exactly twice ``t * M``.  Every other slice is computed from scratch.
+    :meth:`power` raises the kept powers to a whole power instead.
+    ``groups`` holds ``(depth, slice indices, power)``.
     """
 
     def __init__(self):
         self.t: float | None = None
         self.groups: list[tuple[int, np.ndarray, np.ndarray]] = []
+
+    def power(self, matrix, t: float) -> np.ndarray:
+        """``exp(t * matrix)`` for the chain's matrices, from the kept powers
+        where ``t`` is exactly ``m`` times the chain's time for an integer
+        ``m >= 1``.
+
+        Each group's power is raised to the m-th power by binary powering in
+        its working precision and cast once at the end.  The result is not
+        bit-identical to a call from scratch, which rounds ``t * M`` where
+        this one rounds ``(t / m) * M``: on an oscillatory slice the two
+        differ by about ``|t M|_1`` float64 units, on a dissipative one by
+        far less.  The depth cap and the overflow check are those of
+        ``matrix_exponential`` at ``t``, and the zero rows of ``M`` give
+        exact identity rows.  The chain is not changed.  An empty chain, or
+        a ``t`` that is not such a multiple, is exponentiated from scratch.
+        """
+        a = validate_matrix(matrix, name="matrix_exponential input")
+        stacked = a.ndim == 3
+        scaled, depths = _scaled_depths(a if stacked else a[np.newaxis], t)
+        multiple = round(t / self.t) if self.t else 0
+        covered = sum(len(members) for _, members, _ in self.groups)
+        if multiple < 1 or multiple * self.t != t or covered != np.count_nonzero(depths >= 0):
+            return matrix_exponential(matrix, t)
+        powers = [(squarings, members, np.linalg.matrix_power(power, multiple))
+                  for squarings, members, power in self.groups]
+        result = _assemble(scaled, powers, multiple)
+        return result if stacked else result[0]
 
 
 def matrix_exponential(matrix, t: float = 1.0, *, chain: SquaringChain | None = None) -> np.ndarray:
@@ -263,31 +342,10 @@ def matrix_exponential(matrix, t: float = 1.0, *, chain: SquaringChain | None = 
     powers.  A call without one is the chain's first link.
     """
     a = validate_matrix(matrix, name="matrix_exponential input")
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
     stacked = a.ndim == 3
     if not stacked:
         a = a[np.newaxis]
-    # An overflowing t*M is reported below, by slice, as a non-finite norm.
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = t * a
-        norms = np.abs(scaled).sum(axis=1).max(axis=1)
-    # The extended-precision chain returns float64/complex128 for any input.
-    result = np.empty_like(scaled, dtype=np.result_type(scaled.dtype, np.float64))
-    depths = np.full(len(scaled), -1)
-    for index, norm1 in enumerate(norms.tolist()):
-        if norm1 == 0.0:
-            result[index] = np.eye(a.shape[-1])
-            continue
-        if not math.isfinite(norm1):
-            raise ExponentialOverflowError(f"|t*matrix|_1 overflows at t = {t:.3e}", index)
-        squarings = max(0, math.ceil(math.log2(norm1)))
-        if squarings > MAX_SQUARINGS:
-            raise ExponentialOverflowError(
-                f"|t*matrix|_1 = {norm1:.3e} needs {squarings} squarings (cap {MAX_SQUARINGS})",
-                index,
-            )
-        depths[index] = squarings
+    scaled, depths = _scaled_depths(a, t)
     powers = []  # (depth, slice indices, working-precision power) per group
     pending = depths >= 0
     if chain is not None and chain.t is not None:
@@ -305,21 +363,9 @@ def matrix_exponential(matrix, t: float = 1.0, *, chain: SquaringChain | None = 
         for _ in range(squarings):
             power = power @ power
         powers.append((squarings, members, power))
-    for squarings, members, power in powers:
-        power = power.astype(result.dtype, copy=False)
-        overflowed = np.flatnonzero(~np.isfinite(power).all(axis=(1, 2)))
-        if overflowed.size:
-            raise ExponentialOverflowError(
-                f"matrix exponential overflowed during {squarings} squarings",
-                members[overflowed[0]],
-            )
-        result[members] = power
+    result = _assemble(scaled, powers)
     if chain is not None:
         chain.t, chain.groups = t, powers
-    # A zero row of M is an identity row of exp(tM).  Set it exactly: complex
-    # division (b/b as b*(1/b)) in the Pade solve can round its 1 down.
-    slices, rows = np.nonzero(~scaled.any(axis=2))
-    result[slices, rows] = np.eye(a.shape[-1])[rows]
     return result if stacked else result[0]
 
 

@@ -252,6 +252,20 @@ class TestRun:
         assert f"error: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tfinal", "abc", "t_final must be a number or a fraction string, got 'abc'"),
+        ("--t0", "1/0", "t_start must be a number or a fraction string, got '1/0'"),
+        ("--eps", "1,x", "epsilon must be a number or a fraction string, got 'x'"),
+        ("--dt", "1/20,1/4O", "dt must be a number or a fraction string, got '1/4O'"),
+    ])
+    def test_malformed_number_is_usage_error_naming_the_field(self, capsys, flag, value, message):
+        argv = {"--eps": "1", "--dt": "1/20", "--tfinal": "1", flag: value}
+        code = main(["run", "--model", "grad", "--order", "2", "--modes", "8",
+                     *(f"{key}={token}" for key, token in argv.items())])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
     def test_malformed_ars_divisor_is_usage_error(self, capsys):
         code = main(["run", "--model", "grad", "--order", "2", "--eps", "1", "--dt", "1/20",
                      "--modes", "8", "--tfinal", "1", "--startup", "ars:x"])

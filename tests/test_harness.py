@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relaxbdf import linalg
+from relaxbdf import harness, linalg
 from relaxbdf.harness import (
     ConvergenceTable,
     ExperimentConfig,
@@ -155,6 +155,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_json(text)
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("t_final", "1/2", 0.5), ("t_final", 1, 1.0), ("t_start", "-1/4", -0.25), ("t_start", "0", 0.0),
+    ])
+    def test_times_parse_like_the_number_lists(self, key, value, expected):
+        config = small_config(dts=("1/20",), **{key: value})
+        assert getattr(config, key) == expected and type(getattr(config, key)) is float
+
+    @pytest.mark.parametrize("key, value", [
+        ("t_final", "abc"), ("t_final", "1/0"), ("t_final", None), ("t_start", [0]),
+        ("t_start", "1e-2x"),
+    ])
+    def test_bad_time_is_value_error_naming_the_field(self, key, value):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be a number or a fraction "
+                                                       f"string, got {value!r}")):
+            small_config(**{key: value})
+
     def test_bad_norm(self):
         with pytest.raises(ValueError):
             small_config(error_norm="sup")
@@ -287,7 +303,8 @@ class TestStudy:
 
 
 def per_cell_errors(config):
-    """Each cell as its own ``run(startup="exact")``, errors in config order."""
+    """Each cell as its own ``run``, against a reference of its own, errors in
+    config order."""
     model = build_model(config.model)
     errors = []
     for epsilon in config.epsilons:
@@ -300,7 +317,7 @@ def per_cell_errors(config):
             reference = fine_step_reference(u0, system, config.order, dt_ref, config.t_final)
         for dt in config.dts:
             try:
-                final = run(u0, system, config.order, dt, config.t_final, startup="exact")
+                final = run(u0, system, config.order, dt, config.t_final, startup=config.startup)
             except Exception:
                 errors.append(None)
                 continue
@@ -313,13 +330,64 @@ class TestPropagatorChains:
     @pytest.mark.parametrize("dts", [(1 / 20, 1 / 40, 1 / 80, 1 / 160), (1 / 20, 1 / 30, 1 / 60),
                                      (1 / 10, 1 / 80)])
     @pytest.mark.parametrize("order", [2, 4])
-    def test_cells_match_separate_exact_runs(self, dts, order):
+    def test_cells_match_separate_exact_runs(self, dts, order, monkeypatch):
         # eps=1 has depth-0 modes, 1e-5 crosses the depth-10 switch between
-        # levels and 1e-10 is deep at every level.
+        # levels and 1e-10 is deep at every level.  Every cell's final field
+        # is bitwise that of a separate run; its error is taken against the
+        # study's own reference, raised from the chains (TestChainedReference
+        # in test_oracle.py bounds that against a fresh one).
         config = small_config(order=order, epsilons=(1.0, 1e-5, 1e-10), dts=dts, modes=16)
+        finals, references = {}, {}
+
+        def recording_run(u0, system, q, dt, *args, **kwargs):
+            finals[system.epsilon, dt] = run(u0, system, q, dt, *args, **kwargs)
+            return finals[system.epsilon, dt]
+
+        def recording_reference(u0, system, *args):
+            references[system.epsilon] = exact_evolve(u0, system, *args)
+            return references[system.epsilon]
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        monkeypatch.setattr(harness, "exact_evolve", recording_reference)
         table = run_convergence_study(config)
-        assert [row.l2_error for row in table.rows] == per_cell_errors(config)
-        assert all(row.l2_error is not None for row in table.rows)
+        model = build_model(config.model)
+        for row in table.rows:
+            system = model.system_at(row.epsilon)
+            u0 = initial_data(model, order, config.modes, row.epsilon)
+            separate = run(u0, system, order, row.dt, config.t_final, startup="exact")
+            assert finals[row.epsilon, row.dt].coeffs.tobytes() == separate.coeffs.tobytes()
+            assert row.l2_error == grid_error(separate, references[row.epsilon])
+
+    @pytest.mark.parametrize("startup, reference", [("ars:20", "exact"), ("exact", "fine:1/320"),
+                                                    ("ars:20", "fine:1/320")])
+    def test_ars_and_fine_blocks_match_separate_runs(self, startup, reference):
+        # These blocks take no reference from a chain: each cell equals a
+        # separate run against a separate reference, bit for bit.
+        config = small_config(order=4, epsilons=(1.0, 1e-5, 1e-10), dts=(1 / 20, 1 / 40, 1 / 80),
+                              modes=16, startup=startup, reference=reference)
+        errors = [row.l2_error for row in run_convergence_study(config).rows]
+        assert errors == per_cell_errors(config)
+        assert None not in errors
+
+    def test_reference_failing_after_the_cells_fails_its_block(self, monkeypatch, caplog):
+        # The cap is lowered to the depth of the coarsest cell at eps=1e-10:
+        # every cell runs, and the reference at t=1 is past the cap.
+        epsilon = 1e-10
+        system = build_model("grad").system_at(epsilon)
+        norm = np.abs(mode_matrix(system, np.arange(9)) / 20).sum(axis=1).max()
+        monkeypatch.setattr(linalg, "MAX_SQUARINGS", math.ceil(math.log2(norm)))
+        cells = []
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: cells.append(args[3])
+                            or run(*args, **kwargs))
+        config = small_config(epsilons=(1.0, epsilon), dts=(1 / 20, 1 / 40, 1 / 80, 1 / 160))
+        with caplog.at_level(logging.ERROR, logger="relaxbdf.harness"):
+            blocks = run_convergence_study(config).blocks()
+        assert cells == list(reversed(config.dts)) * 2
+        assert None not in [row.l2_error for row in blocks[1.0]]
+        assert [row.l2_error for row in blocks[epsilon]] == [None] * 4
+        [record] = caplog.records
+        assert record.getMessage() == "block failed for epsilon=1e-10"
+        assert "mode k=" in caplog.text and " at t=1, eps=1e-10: " in caplog.text
 
     def test_rows_keep_config_order_and_orders(self):
         config = small_config(dts=(1 / 20, 1 / 30, 1 / 60))

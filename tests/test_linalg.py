@@ -286,6 +286,64 @@ class TestSquaringChain:
             matrix_exponential(m, 4.0, chain=chain)
 
 
+class TestSquaringChainPower:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("multiple", [2, 3, 10, 80])
+    def test_multiple_within_error_model_of_fresh_call(self, dtype, multiple):
+        stack = chain_stack(dtype)
+        chain = SquaringChain()
+        matrix_exponential(stack, 0.7, chain=chain)
+        t = multiple * 0.7
+        powered = chain.power(stack, t)
+        fresh = matrix_exponential(stack, t)
+        assert powered.dtype == fresh.dtype
+        # The two exponentiate t*M as rounded to float64 in different ways
+        # (m * (0.7 M) against (0.7 m) M): on the oscillatory slices they
+        # differ by that rounding times |t M|_1, whatever the working precision.
+        norms = t * np.abs(stack).sum(axis=1).max(axis=1)
+        scales = np.maximum(1.0, np.abs(fresh).max(axis=(1, 2)))
+        bounds = 8 * np.maximum(1.0, norms) * np.finfo(float).eps * scales
+        assert (np.abs(powered - fresh).max(axis=(1, 2)) <= bounds).all()
+        # The zero slice and the zero rows are exact identity rows.
+        np.testing.assert_array_equal(powered[6], np.eye(4))
+        np.testing.assert_array_equal(powered[6:8, :2], np.broadcast_to(np.eye(2, 4), (2, 2, 4)))
+
+    def test_first_multiple_is_the_kept_call(self):
+        stack = chain_stack(complex)
+        chain = SquaringChain()
+        kept = matrix_exponential(stack, 0.7, chain=chain)
+        assert np.array_equal(chain.power(stack, 0.7), kept)
+
+    @pytest.mark.parametrize("t", [1.75, 0.35, 0.0])
+    def test_other_times_start_over_and_leave_the_chain(self, t):
+        stack = chain_stack(complex)
+        chain = SquaringChain()
+        matrix_exponential(stack, 0.7, chain=chain)
+        groups = list(chain.groups)
+        assert np.array_equal(chain.power(stack, t), matrix_exponential(stack, t))
+        assert chain.t == 0.7 and chain.groups == groups
+
+    def test_empty_chain_starts_over(self):
+        stack = chain_stack(float)
+        assert np.array_equal(SquaringChain().power(stack, 0.7), matrix_exponential(stack, 0.7))
+
+    def test_cap_is_checked_at_the_raised_time(self):
+        m = np.array([[-1.0]]) * 2.0 ** (MAX_SQUARINGS - 1)
+        chain = SquaringChain()
+        matrix_exponential(m, 1.0, chain=chain)
+        with pytest.raises(ExponentialOverflowError, match=f"needs {MAX_SQUARINGS + 1} squarings"):
+            chain.power(m, 4.0)
+
+    def test_overflow_names_the_slice_and_the_power(self):
+        stack = np.array([[[-1.0]], [[1.0]]])
+        chain = SquaringChain()
+        matrix_exponential(stack, 1.0, chain=chain)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ExponentialOverflowError, match="raised to the power 800") as info:
+                chain.power(stack, 800.0)
+        assert info.value.index == 1
+
+
 class TestDefiniteness:
     def test_identity_spd(self):
         assert is_spd(np.eye(4))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from relaxbdf import linalg
 from relaxbdf.harness import compute_error
 from relaxbdf.integrator import run
-from relaxbdf.linalg import matrix_exponential
+from relaxbdf.linalg import ExponentialOverflowError, SquaringChain, matrix_exponential
 from relaxbdf.models import build_model, initial_data
 from relaxbdf.oracle import (
     _propagators,
@@ -178,6 +179,117 @@ class TestExactEvolve:
         model = build_model("arz")
         with pytest.raises(ValueError):
             exact_evolve(initial_data(model, 2, 4, 1.0), model.system_at(1.0), -0.1)
+
+
+def random_field(system, domain_length, cutoff):
+    rng = np.random.default_rng(cutoff)
+    shape = (2 * cutoff + 1, system.dimension)
+    return SpectralField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                         domain_length, real_valued=False)
+
+
+def startup_chains(system, cutoff, dts):
+    """The chains a study's exact startups leave, its dts taken finest first."""
+    chains = []
+    for dt in dts:
+        _propagators(system, cutoff, dt, chains)
+    return chains
+
+
+def chained_error_bound(system, cutoff, t, t0):
+    """The oracle's error model ``|t M_k|_1 u`` for a reference at ``t``
+    raised from powers at ``t0``: ``u`` is the working precision of mode k's
+    powers, long double where its depth at ``t0`` exceeds 10."""
+    norms = np.abs(mode_matrix(system, np.arange(cutoff + 1))).sum(axis=1).max(axis=1)
+    deep = np.ceil(np.log2(np.maximum(t0 * norms, 1.0))) > 10
+    units = np.where(deep & LONGDOUBLE_IS_EXTENDED,
+                     float(np.finfo(np.longdouble).eps), float(np.finfo(float).eps))
+    return 8 * float(np.max(np.maximum(1.0, t * norms) * units))
+
+
+class TestChainedReference:
+    # 130 modes make three blocks; the startups run at dt = 1/160 .. 1/20 and
+    # leave chains at 1/20, so the reference at t = 1/2 is their 10th power.
+    CUTOFF = 130
+    DTS = (1 / 160, 1 / 80, 1 / 40, 1 / 20)
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-5, 1e-12])
+    def test_within_error_model_of_fresh_reference(self, name, epsilon):
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        u0 = random_field(system, model.domain_length, self.CUTOFF)
+        chains = startup_chains(system, self.CUTOFF, self.DTS)
+        chained = exact_evolve(u0, system, 0.5, chains)
+        fresh = exact_evolve(u0, system, 0.5)
+        residual = np.abs(chained.coeffs - fresh.coeffs).max() / np.abs(u0.coeffs).max()
+        assert residual <= chained_error_bound(system, self.CUTOFF, 0.5, 1 / 20)
+        # The chains are only read.
+        assert [chain.t for chain in chains] == [1 / 20] * 3
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-5, 1e-12])
+    def test_conserved_mean_components_stay_bitwise(self, name, epsilon):
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        u0 = initial_data(model, 3, self.CUTOFF, epsilon)
+        chains = startup_chains(system, self.CUTOFF, self.DTS)
+        evolved = exact_evolve(u0, system, 0.5, chains)
+        bulk = slice(0, system.bulk_size)
+        mean = np.asarray(evolved.coeffs)[self.CUTOFF, bulk]
+        assert mean.tobytes() == np.asarray(u0.coeffs)[self.CUTOFF, bulk].tobytes()
+
+    @pytest.mark.parametrize("chains", [[], [SquaringChain()]], ids=["no-chains", "empty-chain"])
+    def test_without_powers_starts_from_scratch(self, chains):
+        model = build_model("grad")
+        system = model.system_at(1e-10)
+        u0 = random_field(system, model.domain_length, self.CUTOFF)
+        evolved = exact_evolve(u0, system, 0.5, chains)
+        assert evolved.coeffs.tobytes() == exact_evolve(u0, system, 0.5).coeffs.tobytes()
+
+    @pytest.mark.parametrize("t", [0.525, 1 / 30, 0.0])
+    def test_time_not_a_whole_multiple_starts_from_scratch(self, t):
+        model = build_model("grad")
+        system = model.system_at(1e-10)
+        u0 = random_field(system, model.domain_length, self.CUTOFF)
+        chains = startup_chains(system, self.CUTOFF, self.DTS)
+        evolved = exact_evolve(u0, system, t, chains)
+        assert evolved.coeffs.tobytes() == exact_evolve(u0, system, t).coeffs.tobytes()
+
+    def test_chain_left_at_a_finer_level_is_powered_from_there(self, monkeypatch):
+        # The dt = 1/20 startup fails past a cap lowered to the depth at
+        # 1/40: the chains stay at 1/40, and the reference is their 20th power.
+        model = build_model("grad")
+        system = model.system_at(1e-10)
+        u0 = random_field(system, model.domain_length, self.CUTOFF)
+        chains = startup_chains(system, self.CUTOFF, self.DTS[:3])
+        norm = np.abs(mode_matrix(system, np.arange(self.CUTOFF + 1)) / 40).sum(axis=1).max()
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "MAX_SQUARINGS", math.ceil(math.log2(norm)))
+            with pytest.raises(ExponentialOverflowError):
+                _propagators(system, self.CUTOFF, 1 / 20, chains)
+        assert [chain.t for chain in chains] == [1 / 40] * 3
+        evolved = exact_evolve(u0, system, 0.5, chains)
+        finer = exact_evolve(u0, system, 0.5, startup_chains(system, self.CUTOFF, self.DTS[:3]))
+        assert evolved.coeffs.tobytes() == finer.coeffs.tobytes()
+        residual = np.abs(evolved.coeffs - exact_evolve(u0, system, 0.5).coeffs).max()
+        assert residual / np.abs(u0.coeffs).max() <= chained_error_bound(
+            system, self.CUTOFF, 0.5, 1 / 40)
+
+    def test_time_past_the_squaring_cap_names_mode_time_and_eps(self, monkeypatch):
+        # Every startup is within a cap lowered to the depth at 1/20; the
+        # reference at 1/2 needs four more squarings.
+        model = build_model("grad")
+        system = model.system_at(1e-10)
+        u0 = random_field(system, model.domain_length, self.CUTOFF)
+        norm = np.abs(mode_matrix(system, np.arange(self.CUTOFF + 1)) / 20).sum(axis=1).max()
+        monkeypatch.setattr(linalg, "MAX_SQUARINGS", math.ceil(math.log2(norm)))
+        chains = startup_chains(system, self.CUTOFF, self.DTS)
+        with pytest.raises(ExponentialOverflowError, match=(
+            r"mode k=\d+ at t=0\.5, eps=1e-10: \|t\*matrix\|_1 = \S+ needs \d+ squarings "
+            rf"\(cap {linalg.MAX_SQUARINGS}\)"
+        )):
+            exact_evolve(u0, system, 0.5, chains)
 
 
 class TestFineStepReference:
