@@ -4,11 +4,10 @@ A study fixes a model, a scheme order and a mode cutoff, then sweeps a list
 of relaxation times against a decreasing list of time steps, comparing each
 run with a reference solution at the final time (the exact per-mode
 propagator by default, or a fine-step integrator run).  Each block of one
-relaxation time runs its steps finest first, and its exact startups share
-the oracle's squaring chains; its exact reference is computed after its
-cells, from the powers those chains hold.  Results are collected into a
-table of L2 errors and observed orders and can be emitted as CSV or
-Markdown.
+relaxation time runs its cells first and its reference after them, so a
+failing reference marks the block without stopping its cells.  Results are
+collected into a table of L2 errors and observed orders and can be emitted
+as CSV or Markdown.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .integrator import _integer_step_count, _startup_divisor, bdf_coefficients, run
 from .linalg import _check_positive
 from .models import ModelSpec, build_model, initial_data
-from .oracle import _propagators, exact_evolve, fine_step_reference
+from .oracle import exact_evolve, fine_step_reference
 from .spectral import SpectralField
 from .system import _parse_number
 
@@ -184,11 +183,10 @@ def _reference_field(
     config: ExperimentConfig,
     u0: SpectralField,
     system,
-    chains,
 ) -> SpectralField:
     kind, dt_ref = _parse_reference(config.reference)
     if kind == "exact":
-        return exact_evolve(u0, system, config.t_final - config.t_start, chains)
+        return exact_evolve(u0, system, config.t_final - config.t_start)
     return fine_step_reference(
         u0,
         system,
@@ -205,15 +203,11 @@ def run_convergence_study(
     """Run the full (epsilon, dt) grid of a study and assemble the table.
 
     Cells are independent; a failing cell is recorded with an error marker and
-    the remaining cells still run.  The steps of a block run finest first, so
-    that an exact startup of order q >= 2 squares the previous cell's
-    propagators once more wherever its ``dt`` is exactly twice the previous
-    one (see :mod:`relaxbdf.oracle`); the rows come in config order.  The
-    block's reference comes after its cells: an exact one raises the powers
-    the chains were left with to a whole power where it can, and a failing
-    one marks every row of its block.  An order the model's initial data
-    does not define raises ``UnsupportedOrderError`` before the first block.
-    Output is deterministic for identical configs.
+    the remaining cells still run.  A block runs its steps finest first and
+    computes its reference after its cells; a failing reference marks every
+    row of its block.  The rows come in config order.  An order the model's
+    initial data does not define raises ``UnsupportedOrderError`` before the
+    first block.  Output is deterministic for identical configs.
     """
     if model is None:
         model = build_model(config.model, **config.overrides)
@@ -229,10 +223,8 @@ def run_convergence_study(
         logger.warning(
             "some dt exceed the sufficient stability bound 1/N^2; proceeding anyway"
         )
-    chained = config.startup == "exact" and config.order > 1
     rows: list[TableRow] = []
     for epsilon in config.epsilons:
-        chains = [] if chained else None  # the block's squaring chains, filled by the oracle
         system = model.system_at(epsilon)
         finals: dict[float, SpectralField | None] = {}
         try:
@@ -246,13 +238,12 @@ def run_convergence_study(
                         dt,
                         config.t_final,
                         t_start=config.t_start,
-                        startup=config.startup if chains is None
-                        else _propagators(system, u0.cutoff, dt, chains),
+                        startup=config.startup,
                     )
                 except Exception as exc:
                     logger.exception("cell failed: epsilon=%g dt=%g: %s", epsilon, dt, exc)
                     finals[dt] = None
-            reference = _reference_field(config, u0, system, chains)
+            reference = _reference_field(config, u0, system)
             errors = {dt: None if final is None else error_metric(final, reference)
                       for dt, final in finals.items()}
             del finals, reference  # before the next block's cells run

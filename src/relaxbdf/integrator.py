@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import PIVOT_RTOL, SingularMatrixError, _check_positive, lu_factor
-from .oracle import _propagators
+from .oracle import _exact_step
 from .spectral import SpectralField
 from .system import RelaxationSystem
 
@@ -548,26 +548,18 @@ def run(
     t_final: float,
     *,
     t_start: float = 0.0,
-    startup: str | np.ndarray = "exact",
+    startup: str = "exact",
 ) -> SpectralField:
     """Integrate from ``t_start`` to ``t_final`` and return the final field.
 
     ``startup`` selects how the first q-1 values are produced: "exact" uses
     the closed-form per-mode propagator, "ars" or "ars:N" the refined IMEX-RK
-    sweep with N substeps per step.  It may also be the per-mode map of one
-    step ``dt`` itself, a stack ``(2N+1, n, n)`` such as the exact
-    propagators from a squaring chain.  Bit-for-bit deterministic for
+    sweep with N substeps per step.  Bit-for-bit deterministic for
     identical inputs.
     """
     if u0.n != system.dimension:
         raise ValueError("initial field does not match the system dimension")
-    if isinstance(startup, str):
-        divisor, step = _startup_divisor(startup), None
-    else:
-        divisor, step = None, np.asarray(startup)
-        expected = (2 * u0.cutoff + 1, system.dimension, system.dimension)
-        if step.shape != expected:
-            raise ValueError(f"startup map must have shape {expected}, got {step.shape}")
+    divisor = _startup_divisor(startup)
     coeffs = bdf_coefficients(q)
     total = _integer_step_count(t_final - t_start, dt, q)
     if divisor is not None:
@@ -575,9 +567,7 @@ def run(
     elif q == 1:
         history = [u0]
     else:
-        if step is None:
-            step = _propagators(system, u0.cutoff, dt)
-        history = _startup_history(u0, q, lambda v: (step @ v[..., np.newaxis])[..., 0])
+        history = _startup_history(u0, q, _exact_step(u0, system, dt))
     if total == q - 1:
         return history[-1]
     state = make_solver_state(history, system, coeffs, dt)

@@ -32,7 +32,6 @@ __all__ = [
     "validate_matrix",
     "lu_factor",
     "inverse",
-    "SquaringChain",
     "matrix_exponential",
     "is_spd",
     "is_negative_semidefinite",
@@ -222,103 +221,7 @@ def _working_dtype(squarings: int, dtype: np.dtype) -> np.dtype:
     return dtype
 
 
-def _scaled_depths(a: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """``t * a`` for a stack ``a`` and the squaring depth of each slice, -1
-    for a zero slice; an overflowing slice or one past ``MAX_SQUARINGS``
-    raises ``ExponentialOverflowError``."""
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    # An overflowing t*M is reported below, by slice, as a non-finite norm.
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = t * a
-        norms = np.abs(scaled).sum(axis=1).max(axis=1)
-    depths = np.full(len(scaled), -1)
-    for index, norm1 in enumerate(norms.tolist()):
-        if norm1 == 0.0:
-            continue
-        if not math.isfinite(norm1):
-            raise ExponentialOverflowError(f"|t*matrix|_1 overflows at t = {t:.3e}", index)
-        squarings = max(0, math.ceil(math.log2(norm1)))
-        if squarings > MAX_SQUARINGS:
-            raise ExponentialOverflowError(
-                f"|t*matrix|_1 = {norm1:.3e} needs {squarings} squarings (cap {MAX_SQUARINGS})",
-                index,
-            )
-        depths[index] = squarings
-    return scaled, depths
-
-
-def _assemble(scaled: np.ndarray, powers, multiple: int = 1) -> np.ndarray:
-    """Cast each group's working-precision power into one float64/complex128
-    stack, reject a non-finite one and set the exact identity rows.
-
-    ``multiple`` is the power the groups were raised to after squaring.
-    """
-    result = np.empty_like(scaled, dtype=np.result_type(scaled.dtype, np.float64))
-    for squarings, members, power in powers:
-        power = power.astype(result.dtype, copy=False)
-        overflowed = np.flatnonzero(~np.isfinite(power).all(axis=(1, 2)))
-        if overflowed.size:
-            raised = f" and raised to the power {multiple}" if multiple > 1 else ""
-            raise ExponentialOverflowError(
-                f"matrix exponential overflowed during {squarings} squarings{raised}",
-                members[overflowed[0]],
-            )
-        result[members] = power
-    # A zero row of M is an identity row of exp(tM), and a zero slice is all
-    # zero rows.  Set them exactly: complex division (b/b as b*(1/b)) in the
-    # Pade solve can round a 1 down.
-    slices, rows = np.nonzero(~scaled.any(axis=2))
-    result[slices, rows] = np.eye(scaled.shape[-1])[rows]
-    return result
-
-
-class SquaringChain:
-    """The working-precision powers of the last ``matrix_exponential`` call
-    made with this chain, kept for later calls on the same matrices.
-
-    A ``matrix_exponential`` call at twice the time squares a slice's kept
-    power once more, instead of starting it over, whenever the result is
-    bit-identical to starting over: the slice's squaring depth rises by
-    exactly one, its working precision stays the same and ``2t * M`` is
-    exactly twice ``t * M``.  Every other slice is computed from scratch.
-    :meth:`power` raises the kept powers to a whole power instead.
-    ``groups`` holds ``(depth, slice indices, power)``.
-    """
-
-    def __init__(self):
-        self.t: float | None = None
-        self.groups: list[tuple[int, np.ndarray, np.ndarray]] = []
-
-    def power(self, matrix, t: float) -> np.ndarray:
-        """``exp(t * matrix)`` for the chain's matrices, from the kept powers
-        where ``t`` is exactly ``m`` times the chain's time for an integer
-        ``m >= 1``.
-
-        Each group's power is raised to the m-th power by binary powering in
-        its working precision and cast once at the end.  The result is not
-        bit-identical to a call from scratch, which rounds ``t * M`` where
-        this one rounds ``(t / m) * M``: on an oscillatory slice the two
-        differ by about ``|t M|_1`` float64 units, on a dissipative one by
-        far less.  The depth cap and the overflow check are those of
-        ``matrix_exponential`` at ``t``, and the zero rows of ``M`` give
-        exact identity rows.  The chain is not changed.  An empty chain, or
-        a ``t`` that is not such a multiple, is exponentiated from scratch.
-        """
-        a = validate_matrix(matrix, name="matrix_exponential input")
-        stacked = a.ndim == 3
-        scaled, depths = _scaled_depths(a if stacked else a[np.newaxis], t)
-        multiple = round(t / self.t) if self.t else 0
-        covered = sum(len(members) for _, members, _ in self.groups)
-        if multiple < 1 or multiple * self.t != t or covered != np.count_nonzero(depths >= 0):
-            return matrix_exponential(matrix, t)
-        powers = [(squarings, members, np.linalg.matrix_power(power, multiple))
-                  for squarings, members, power in self.groups]
-        result = _assemble(scaled, powers, multiple)
-        return result if stacked else result[0]
-
-
-def matrix_exponential(matrix, t: float = 1.0, *, chain: SquaringChain | None = None) -> np.ndarray:
+def matrix_exponential(matrix, t: float = 1.0) -> np.ndarray:
     """Compute ``exp(t * matrix)`` by scaling and squaring.
 
     The scaled matrix is brought to 1-norm <= 1 with ``ceil(log2(|t M|_1))``
@@ -326,8 +229,8 @@ def matrix_exponential(matrix, t: float = 1.0, *, chain: SquaringChain | None = 
     path stays accurate from the non-stiff regime up to ``|t M|`` of order
     1/epsilon.  Deep chains switch to extended precision to keep the roundoff
     floor below the accuracy of the solutions compared against this oracle.
-    Squaring depth is capped at ``MAX_SQUARINGS`` and non-finite intermediates
-    raise ``ExponentialOverflowError``.
+    Squaring depth is capped at ``MAX_SQUARINGS`` and an overflow of ``t M``,
+    of the squarings or of the cast back raises ``ExponentialOverflowError``.
 
     ``matrix`` may be a stack ``(K, n, n)``; a single matrix is a stack of
     one.  Each slice gets its own depth and precision, and the slices that
@@ -335,37 +238,50 @@ def matrix_exponential(matrix, t: float = 1.0, *, chain: SquaringChain | None = 
     every slice sees exactly the arithmetic it would see alone.  The rows of
     ``exp(t M)`` where ``M`` has a zero row are exact identity rows.  An
     error names the failing slice in its ``index``.
-
-    A ``chain`` that holds the powers of a call on the same ``matrix`` at
-    ``t / 2`` lets this call square them once more where that gives the same
-    bits (see :class:`SquaringChain`); the chain then holds this call's
-    powers.  A call without one is the chain's first link.
     """
     a = validate_matrix(matrix, name="matrix_exponential input")
     stacked = a.ndim == 3
     if not stacked:
         a = a[np.newaxis]
-    scaled, depths = _scaled_depths(a, t)
-    powers = []  # (depth, slice indices, working-precision power) per group
-    pending = depths >= 0
-    if chain is not None and chain.t is not None:
-        doubled = (scaled == 2.0 * (chain.t * a)).all(axis=(1, 2))
-        for squarings, members, power in chain.groups:
-            keep = doubled[members] & (depths[members] == squarings + 1)
-            if keep.any() and _working_dtype(squarings + 1, scaled.dtype) == power.dtype:
-                kept = power[keep]
-                powers.append((squarings + 1, members[keep], kept @ kept))
-                pending[members[keep]] = False
-    for squarings in dict.fromkeys(depths[pending].tolist()):
-        members = np.flatnonzero(pending & (depths == squarings))
-        group = scaled[members].astype(_working_dtype(squarings, scaled.dtype), copy=False)
-        power = _pade13(group / 2.0 ** squarings)
-        for _ in range(squarings):
-            power = power @ power
-        powers.append((squarings, members, power))
-    result = _assemble(scaled, powers)
-    if chain is not None:
-        chain.t, chain.groups = t, powers
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    result = np.empty_like(a, dtype=np.result_type(a.dtype, np.float64))
+    # An overflow is reported below, by slice, as a non-finite norm or power.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = t * a
+        norms = np.abs(scaled).sum(axis=1).max(axis=1)
+        depths = np.full(len(scaled), -1)  # -1 for a zero slice
+        for index, norm1 in enumerate(norms.tolist()):
+            if norm1 == 0.0:
+                continue
+            if not math.isfinite(norm1):
+                raise ExponentialOverflowError(f"|t*matrix|_1 overflows at t = {t:.3e}", index)
+            squarings = max(0, math.ceil(math.log2(norm1)))
+            if squarings > MAX_SQUARINGS:
+                raise ExponentialOverflowError(
+                    f"|t*matrix|_1 = {norm1:.3e} needs {squarings} squarings (cap {MAX_SQUARINGS})",
+                    index,
+                )
+            depths[index] = squarings
+        for squarings in dict.fromkeys(depths[depths >= 0].tolist()):
+            members = np.flatnonzero(depths == squarings)
+            group = scaled[members].astype(_working_dtype(squarings, scaled.dtype), copy=False)
+            power = _pade13(group / 2.0 ** squarings)
+            for _ in range(squarings):
+                power = power @ power
+            power = power.astype(result.dtype, copy=False)
+            overflowed = np.flatnonzero(~np.isfinite(power).all(axis=(1, 2)))
+            if overflowed.size:
+                raise ExponentialOverflowError(
+                    f"matrix exponential overflowed during {squarings} squarings",
+                    members[overflowed[0]],
+                )
+            result[members] = power
+    # A zero row of M is an identity row of exp(tM), and a zero slice is all
+    # zero rows.  Set them exactly: complex division (b/b as b*(1/b)) in the
+    # Pade solve can round a 1 down.
+    slices, rows = np.nonzero(~scaled.any(axis=2))
+    result[slices, rows] = np.eye(scaled.shape[-1])[rows]
     return result if stacked else result[0]
 
 

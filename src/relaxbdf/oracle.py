@@ -5,27 +5,23 @@ evolves by ``u_hat_k' = M_k u_hat_k`` with ``M_k = -i*kappa_k*A + Q/eps``, so
 the semi-discrete solution is a matrix exponential per mode.  For band-limited
 initial data this is also the exact PDE solution, which makes it the
 reference of choice for convergence studies; a conventional fine-step
-reference is provided as a cross-check.  The propagators of all modes form
-one stack, one :func:`~relaxbdf.linalg.matrix_exponential` call per block of
-modes.  Successive stacks of one system may share a list of squaring chains,
-one per block: a stack at twice the previous time squares that call's
-working-precision powers once more wherever that is bit-identical to a
-separate call, and any other time starts over.  So a study's exact startups
-at ``dt, 2 dt, 4 dt, ...``, taken finest first, cost about one squaring each.
-The study's exact reference at ``t = m dt`` then only reads the chains: it
-raises each block's last powers to the m-th power
-(:meth:`~relaxbdf.linalg.SquaringChain.power`), a few products instead of a
-few dozen squarings, and is exact to the same error model but not to the
-bit.  A propagator's error is about ``|t M_k|_1 u`` relative, ``u`` being the
-working precision of its squaring chain; the k=0 one is the identity on the
-conserved components.
+reference is provided as a cross-check.  A mode whose data is zero stays
+exactly zero, so only the modes the data occupies are exponentiated, one
+:func:`~relaxbdf.linalg.matrix_exponential` call per block of them: the
+band-limited initial data of the built-in models occupies a few of the
+study's hundreds of modes.  The same map serves a study's exact startups.
+A propagator's error is about ``|t M_k|_1 u`` relative, ``u`` being the
+working precision of its squarings, once ``t M_k`` is rounded to float64;
+the k=0 one is the identity on the conserved components.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .linalg import ExponentialOverflowError, SquaringChain, matrix_exponential
+from .linalg import ExponentialOverflowError, matrix_exponential
 from .spectral import SpectralField
 from .system import RelaxationSystem
 
@@ -46,81 +42,53 @@ def mode_matrix(system: RelaxationSystem, k: int | np.ndarray) -> np.ndarray:
     return np.multiply.outer(-1j * kappa, system.convection) + np.asarray(system.source) / system.epsilon
 
 
-def _mode_blocks(
-    system: RelaxationSystem, cutoff: int, t: float, chains: list[SquaringChain] | None, keep: bool
-):
-    """Yield ``(ks, exp(t M_k))`` for the modes ``k = 0..cutoff``, in blocks
-    of ``_MODE_BLOCK``.
+def _exact_step(u0: SpectralField, system: RelaxationSystem, t: float):
+    """The per-mode map ``v -> exp(t M_k) v`` on the modes ``u0`` occupies.
 
-    ``chains`` holds one ``SquaringChain`` per block.  With ``keep`` each
-    block is a ``matrix_exponential`` call that carries its powers to the
-    next call, and a block without a chain gets one.  Without ``keep`` the
-    chains are only read: a block takes ``SquaringChain.power`` of its
-    chain, and a block without one is exponentiated from scratch.
+    Only the modes ``k >= 0`` whose row ``k`` or row ``-k`` of ``u0`` is
+    nonzero are exponentiated, in blocks of ``_MODE_BLOCK``; mode ``-k`` has
+    the conjugate generator and gets the entrywise conjugate, which keeps
+    real fields exactly real.  The map leaves every other row zero, so it
+    serves ``u0`` and every field it maps ``u0`` to.  An
+    ``ExponentialOverflowError`` names the mode, ``t`` and ``eps``.
     """
-    for index, first in enumerate(range(0, cutoff + 1, _MODE_BLOCK)):
-        ks = np.arange(first, min(first + _MODE_BLOCK, cutoff + 1))
-        matrix = mode_matrix(system, ks)
-        if keep and chains is not None and index == len(chains):
-            chains.append(SquaringChain())
-        chain = chains[index] if chains is not None and index < len(chains) else None
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and non-negative, got {t!r}")
+    coeffs = np.asarray(u0.coeffs)
+    occupied = coeffs[u0.cutoff:].any(axis=1) | coeffs[u0.cutoff::-1].any(axis=1)
+    support = np.flatnonzero(occupied)
+    maps = []
+    for first in range(0, len(support), _MODE_BLOCK):
+        ks = support[first:first + _MODE_BLOCK]
         try:
-            if keep or chain is None:
-                block = matrix_exponential(matrix, t, chain=chain)
-            else:
-                block = chain.power(matrix, t)
+            block = matrix_exponential(mode_matrix(system, ks), t)
         except ExponentialOverflowError as exc:
             raise ExponentialOverflowError(
                 f"mode k={ks[exc.index]} at t={t:g}, eps={system.epsilon:g}: {exc}"
             ) from exc
-        yield ks, block
+        # Rows -k before +k: row 0 is then left holding P_0 v, not its conjugate's.
+        maps += [(u0.cutoff - ks, np.conj(block)), (u0.cutoff + ks, block)]
+
+    def step(values: np.ndarray) -> np.ndarray:
+        mapped = np.zeros(values.shape, dtype=complex)
+        for rows, propagators in maps:
+            mapped[rows] = (propagators @ values[rows][..., np.newaxis])[..., 0]
+        return mapped
+
+    return step
 
 
-def _propagators(
-    system: RelaxationSystem, cutoff: int, t: float, chains: list[SquaringChain] | None = None
-) -> np.ndarray:
-    """Stack ``(2N+1, n, n)`` of the mode propagators ``exp(t M_k)``, k = -N..N.
-
-    Only modes ``k >= 0`` are exponentiated; mode ``-k`` has the conjugate
-    generator and gets the entrywise conjugate, which keeps real fields
-    exactly real.  ``chains`` is a list the calls of one system and cutoff
-    share; it gets one ``SquaringChain`` per block on first use, which
-    carries that block's powers to the next call.
-    """
-    stack = np.empty((2 * cutoff + 1, system.dimension, system.dimension), dtype=complex)
-    for ks, block in _mode_blocks(system, cutoff, t, chains, keep=True):
-        # Rows -k before +k: row 0 is then left holding P_0, not its conjugate.
-        stack[cutoff - ks] = np.conj(block)
-        stack[cutoff + ks] = block
-    return stack
-
-
-def exact_evolve(
-    u0: SpectralField,
-    system: RelaxationSystem,
-    t: float,
-    chains: list[SquaringChain] | None = None,
-) -> SpectralField:
+def exact_evolve(u0: SpectralField, system: RelaxationSystem, t: float) -> SpectralField:
     """Propagate a field exactly by time ``t >= 0``; an
     ``ExponentialOverflowError`` names the mode, ``t`` and ``eps``.
 
-    ``chains``, left by the exact startups of the same system and cutoff,
-    are only read: a block of modes whose chain holds powers at ``t / m``,
-    for an integer ``m >= 1``, raises them to the m-th power, and every
-    other block is exponentiated from scratch.  Each block is applied as it
-    comes, so no stack of all propagators is built.
+    Only the modes the field occupies are exponentiated, and the others stay
+    exactly zero.
     """
     if u0.n != system.dimension:
         raise ValueError("field does not match the system dimension")
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    coeffs = np.asarray(u0.coeffs)[..., np.newaxis]
-    propagated = np.empty(coeffs.shape, dtype=complex)
-    for ks, block in _mode_blocks(system, u0.cutoff, t, chains, keep=False):
-        # Rows -k before +k, as in _propagators.
-        for rows, propagators in ((u0.cutoff - ks, np.conj(block)), (u0.cutoff + ks, block)):
-            propagated[rows] = propagators @ coeffs[rows]
-    return SpectralField(propagated[..., 0], u0.domain_length, u0.real_valued)
+    values = _exact_step(u0, system, t)(np.asarray(u0.coeffs))
+    return SpectralField(values, u0.domain_length, u0.real_valued)
 
 
 def fine_step_reference(

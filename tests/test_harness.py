@@ -326,45 +326,18 @@ def per_cell_errors(config):
 
 
 class TestPropagatorChains:
-    # 1/30 -> 1/20 and 1/80 -> 1/10 are not doublings: the chain starts over.
+    @pytest.mark.parametrize("startup, reference", [("exact", "exact"), ("ars:20", "exact"),
+                                                    ("exact", "fine:1/320"),
+                                                    ("ars:20", "fine:1/320")])
     @pytest.mark.parametrize("dts", [(1 / 20, 1 / 40, 1 / 80, 1 / 160), (1 / 20, 1 / 30, 1 / 60),
                                      (1 / 10, 1 / 80)])
     @pytest.mark.parametrize("order", [2, 4])
-    def test_cells_match_separate_exact_runs(self, dts, order, monkeypatch):
-        # eps=1 has depth-0 modes, 1e-5 crosses the depth-10 switch between
-        # levels and 1e-10 is deep at every level.  Every cell's final field
-        # is bitwise that of a separate run; its error is taken against the
-        # study's own reference, raised from the chains (TestChainedReference
-        # in test_oracle.py bounds that against a fresh one).
-        config = small_config(order=order, epsilons=(1.0, 1e-5, 1e-10), dts=dts, modes=16)
-        finals, references = {}, {}
-
-        def recording_run(u0, system, q, dt, *args, **kwargs):
-            finals[system.epsilon, dt] = run(u0, system, q, dt, *args, **kwargs)
-            return finals[system.epsilon, dt]
-
-        def recording_reference(u0, system, *args):
-            references[system.epsilon] = exact_evolve(u0, system, *args)
-            return references[system.epsilon]
-
-        monkeypatch.setattr(harness, "run", recording_run)
-        monkeypatch.setattr(harness, "exact_evolve", recording_reference)
-        table = run_convergence_study(config)
-        model = build_model(config.model)
-        for row in table.rows:
-            system = model.system_at(row.epsilon)
-            u0 = initial_data(model, order, config.modes, row.epsilon)
-            separate = run(u0, system, order, row.dt, config.t_final, startup="exact")
-            assert finals[row.epsilon, row.dt].coeffs.tobytes() == separate.coeffs.tobytes()
-            assert row.l2_error == grid_error(separate, references[row.epsilon])
-
-    @pytest.mark.parametrize("startup, reference", [("ars:20", "exact"), ("exact", "fine:1/320"),
-                                                    ("ars:20", "fine:1/320")])
-    def test_ars_and_fine_blocks_match_separate_runs(self, startup, reference):
-        # These blocks take no reference from a chain: each cell equals a
-        # separate run against a separate reference, bit for bit.
-        config = small_config(order=4, epsilons=(1.0, 1e-5, 1e-10), dts=(1 / 20, 1 / 40, 1 / 80),
-                              modes=16, startup=startup, reference=reference)
+    def test_cells_match_separate_runs(self, startup, reference, dts, order):
+        # eps=1 has depth-0 modes, 1e-5 crosses the depth-10 switch to long
+        # double between the dts and 1e-10 is deep at every dt.  Each cell
+        # equals a separate run against a separate reference, bit for bit.
+        config = small_config(order=order, epsilons=(1.0, 1e-5, 1e-10), dts=dts, modes=16,
+                              startup=startup, reference=reference)
         errors = [row.l2_error for row in run_convergence_study(config).rows]
         assert errors == per_cell_errors(config)
         assert None not in errors

@@ -18,7 +18,7 @@ from relaxbdf.integrator import (
     run,
 )
 from relaxbdf.models import build_model, initial_data
-from relaxbdf.oracle import _propagators, exact_evolve
+from relaxbdf.oracle import exact_evolve
 from relaxbdf.spectral import SpectralField, zero_field
 from relaxbdf.system import RelaxationSystem
 from relaxbdf.theory import fit_order
@@ -533,24 +533,6 @@ class TestRun:
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             run(u0, model.system_at(1.0), 2, dt, 1.0)
 
-    @pytest.mark.parametrize("q", [1, 3])
-    def test_step_map_startup_matches_exact(self, q):
-        model = build_model("broadwell")
-        system = model.system_at(1e-6)
-        u0 = initial_data(model, max(q, 2), 12, 1e-6)
-        step = _propagators(system, u0.cutoff, 1 / 40)
-        by_map = run(u0, system, q, 1 / 40, 0.5, startup=step)
-        by_spec = run(u0, system, q, 1 / 40, 0.5, startup="exact")
-        assert np.asarray(by_map.coeffs).tobytes() == np.asarray(by_spec.coeffs).tobytes()
-
-    def test_step_map_shape_validated(self):
-        model = build_model("broadwell")
-        system = model.system_at(1e-6)
-        u0 = initial_data(model, 3, 12, 1e-6)
-        step = _propagators(system, u0.cutoff - 1, 1 / 40)
-        with pytest.raises(ValueError, match=r"startup map must have shape \(25, 3, 3\), got \(23, 3, 3\)"):
-            run(u0, system, 3, 1 / 40, 0.5, startup=step)
-
     def test_ars_spec_divisor_matches_manual_stepping(self):
         model = build_model("broadwell")
         system = model.system_at(1e-3)
@@ -588,25 +570,33 @@ class TestRun:
         assert np.array_equal(final.mode(0)[:bulk], conserved)
 
     def test_exact_startup_exponentiates_once_per_block(self, monkeypatch):
-        # 130 non-negative modes make blocks of 64, 64 and 2; the q-1 startup
-        # values reuse the propagators of one step, and q=1 needs none.
+        # A dense field's 130 non-negative modes make blocks of 64, 64 and 2;
+        # band-limited data makes one block of its modes 0..4.  The q-1
+        # startup values reuse the propagators of one step, and q=1 needs none.
         from relaxbdf import oracle
 
         calls = []
         original = oracle.matrix_exponential
 
-        def counting(matrix, t=1.0, **kwargs):
+        def counting(matrix, t=1.0):
             calls.append((len(matrix), t))
-            return original(matrix, t, **kwargs)
+            return original(matrix, t)
 
         monkeypatch.setattr(oracle, "matrix_exponential", counting)
         model = build_model("broadwell")
         system = model.system_at(1e-3)
+        rng = np.random.default_rng(129)
+        shape = (2 * 129 + 1, system.dimension)
+        dense = SpectralField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                              model.domain_length, real_valued=False)
+        run(dense, system, 4, 1 / 40, 3 / 40, startup="exact")  # the startup alone
+        assert calls == [(64, 1 / 40), (64, 1 / 40), (2, 1 / 40)]
+        calls.clear()
         u0 = initial_data(model, 4, 129, 1e-3)
         run(u0, system, 4, 1 / 40, 0.5, startup="exact")
-        assert calls == [(64, 1 / 40), (64, 1 / 40), (2, 1 / 40)]
+        assert calls == [(model.data_cutoff + 1, 1 / 40)]
         run(u0, system, 1, 1 / 40, 0.5, startup="exact")  # no startup values
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_blow_up_names_step_eps_and_dt(self):
         # dt=0.5 is far past the stability bound at N=100: the run overflows.

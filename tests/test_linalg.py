@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from relaxbdf import linalg
 from relaxbdf.linalg import (
     MAX_SQUARINGS,
     ExponentialOverflowError,
     SingularMatrixError,
-    SquaringChain,
     is_negative_semidefinite,
     is_spd,
     inverse,
@@ -204,144 +202,13 @@ class TestMatrixExponential:
             matrix_exponential(stack, 1e300)
         assert info.value.index == 1
 
-
-def chain_stack(dtype):
-    """Slices whose depth at t=0.7 is 0 (at two norms), 3, 9, 10 and 34, a
-    zero slice and two stiff relaxation generators, of a k=0 mode (two zero
-    rows) and of a k>0 mode; doubling t moves 9 and 10 across the switch to
-    extended precision."""
-    rng = np.random.default_rng(5)
-    base = rng.standard_normal((6, 4, 4)).astype(dtype)
-    if base.dtype.kind == "c":
-        base = base + 1j * rng.standard_normal((6, 4, 4))
-    skew = base - np.conj(base.transpose(0, 2, 1))
-    skew /= np.abs(skew).sum(axis=1).max(axis=1)[:, None, None]
-    norms = [0.3, 0.9, 6.0, 400.0, 1000.0, 1.0e10]
-    relaxation = np.array(
-        [[0, 0, 0, 0], [0, 0, 0, 0], [0.5, -1.0, -3.0, 0.0], [0.0, 0.2, 1.0, -2.0]]
-    ).astype(dtype)
-    drift = 0.3 * np.diag([1.0, -1.0, 0.5, 0.0]).astype(dtype)
-    if base.dtype.kind == "c":
-        drift = 1j * drift
-    stack = [norm / 0.7 * matrix for norm, matrix in zip(norms, skew)]
-    stack += [np.zeros((4, 4), dtype), 1.0e9 * relaxation, 1.0e9 * relaxation + drift]
-    return np.array(stack)
-
-
-class TestSquaringChain:
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_levels_equal_separate_calls(self, dtype):
-        stack = chain_stack(dtype)
-        depths = [max(0, int(np.ceil(np.log2(np.abs(0.7 * m).sum(axis=0).max())))) for m in stack[:6]]
-        assert depths == [0, 0, 3, 9, 10, 34]
-        chain = SquaringChain()
-        for level in range(6):
-            t = 0.7 * 2.0 ** level
-            chained = matrix_exponential(stack, t, chain=chain)
-            assert np.array_equal(chained, matrix_exponential(stack, t))
-            # The zero rows stay exact identity rows.
-            np.testing.assert_array_equal(chained[6:8, :2], np.broadcast_to(np.eye(2, 4), (2, 2, 4)))
-
-    def test_deep_slices_skip_the_pade_kernel(self, monkeypatch):
-        # Depths 30+ at t: every later level is one more squaring.
-        stack = chain_stack(complex)[[5, 7, 8]]
-        calls = []
-        original = linalg._pade13
-        monkeypatch.setattr(linalg, "_pade13", lambda a: calls.append(len(a)) or original(a))
-        chain = SquaringChain()
-        matrix_exponential(stack, 0.7, chain=chain)
-        assert sum(calls) == 3
-        for level in range(1, 4):
-            matrix_exponential(stack, 0.7 * 2.0 ** level, chain=chain)
-        assert sum(calls) == 3
-
-    def test_depth_switch_and_clamped_depth_start_over(self, monkeypatch):
-        # At 2t a slice of depth 10 turns to extended precision, and one of
-        # depth 0 with |tM|_1 <= 1/2 stays at depth 0: both start over.  One
-        # of depth 0 with |tM|_1 > 1/2 reaches depth 1 and is squared.
-        stack = chain_stack(float)[[0, 1, 4]]
-        calls = []
-        original = linalg._pade13
-        monkeypatch.setattr(linalg, "_pade13", lambda a: calls.append(len(a)) or original(a))
-        chain = SquaringChain()
-        matrix_exponential(stack, 0.7, chain=chain)
-        assert sum(calls) == 3
-        matrix_exponential(stack, 1.4, chain=chain)
-        assert sum(calls) == (5 if linalg._LONGDOUBLE_HELPS else 4)
-
-    def test_chain_at_another_time_starts_over(self):
-        stack = chain_stack(complex)
-        chain = SquaringChain()
-        matrix_exponential(stack, 0.7, chain=chain)
-        assert np.array_equal(matrix_exponential(stack, 2.1, chain=chain),
-                              matrix_exponential(stack, 2.1))
-        assert chain.t == 2.1
-
-    def test_cap_is_checked_at_every_level(self):
-        m = np.array([[-1.0]]) * 2.0 ** (MAX_SQUARINGS - 1)
-        chain = SquaringChain()
-        matrix_exponential(m, 1.0, chain=chain)
-        matrix_exponential(m, 2.0, chain=chain)
-        with pytest.raises(ExponentialOverflowError, match=f"needs {MAX_SQUARINGS + 1} squarings"):
-            matrix_exponential(m, 4.0, chain=chain)
-
-
-class TestSquaringChainPower:
-    @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("multiple", [2, 3, 10, 80])
-    def test_multiple_within_error_model_of_fresh_call(self, dtype, multiple):
-        stack = chain_stack(dtype)
-        chain = SquaringChain()
-        matrix_exponential(stack, 0.7, chain=chain)
-        t = multiple * 0.7
-        powered = chain.power(stack, t)
-        fresh = matrix_exponential(stack, t)
-        assert powered.dtype == fresh.dtype
-        # The two exponentiate t*M as rounded to float64 in different ways
-        # (m * (0.7 M) against (0.7 m) M): on the oscillatory slices they
-        # differ by that rounding times |t M|_1, whatever the working precision.
-        norms = t * np.abs(stack).sum(axis=1).max(axis=1)
-        scales = np.maximum(1.0, np.abs(fresh).max(axis=(1, 2)))
-        bounds = 8 * np.maximum(1.0, norms) * np.finfo(float).eps * scales
-        assert (np.abs(powered - fresh).max(axis=(1, 2)) <= bounds).all()
-        # The zero slice and the zero rows are exact identity rows.
-        np.testing.assert_array_equal(powered[6], np.eye(4))
-        np.testing.assert_array_equal(powered[6:8, :2], np.broadcast_to(np.eye(2, 4), (2, 2, 4)))
-
-    def test_first_multiple_is_the_kept_call(self):
-        stack = chain_stack(complex)
-        chain = SquaringChain()
-        kept = matrix_exponential(stack, 0.7, chain=chain)
-        assert np.array_equal(chain.power(stack, 0.7), kept)
-
-    @pytest.mark.parametrize("t", [1.75, 0.35, 0.0])
-    def test_other_times_start_over_and_leave_the_chain(self, t):
-        stack = chain_stack(complex)
-        chain = SquaringChain()
-        matrix_exponential(stack, 0.7, chain=chain)
-        groups = list(chain.groups)
-        assert np.array_equal(chain.power(stack, t), matrix_exponential(stack, t))
-        assert chain.t == 0.7 and chain.groups == groups
-
-    def test_empty_chain_starts_over(self):
-        stack = chain_stack(float)
-        assert np.array_equal(SquaringChain().power(stack, 0.7), matrix_exponential(stack, 0.7))
-
-    def test_cap_is_checked_at_the_raised_time(self):
-        m = np.array([[-1.0]]) * 2.0 ** (MAX_SQUARINGS - 1)
-        chain = SquaringChain()
-        matrix_exponential(m, 1.0, chain=chain)
-        with pytest.raises(ExponentialOverflowError, match=f"needs {MAX_SQUARINGS + 1} squarings"):
-            chain.power(m, 4.0)
-
-    def test_overflow_names_the_slice_and_the_power(self):
-        stack = np.array([[[-1.0]], [[1.0]]])
-        chain = SquaringChain()
-        matrix_exponential(stack, 1.0, chain=chain)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ExponentialOverflowError, match="raised to the power 800") as info:
-                chain.power(stack, 800.0)
-        assert info.value.index == 1
+    @pytest.mark.parametrize("entry", [800.0, 2000.0, 1e5])
+    def test_overflow_in_the_squarings_or_the_cast_is_named(self, entry):
+        # exp(800) leaves float64 in the float64 squarings; exp(2000) fits the
+        # long-double squarings but not the cast back; exp(1e5) leaves long
+        # double too.  Each is the named error, not a RuntimeWarning.
+        with pytest.raises(ExponentialOverflowError, match=r"overflowed during \d+ squarings"):
+            matrix_exponential(np.array([[entry]]))
 
 
 class TestDefiniteness:

@@ -3,18 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from relaxbdf import linalg
+from relaxbdf import linalg, oracle
 from relaxbdf.harness import compute_error
 from relaxbdf.integrator import run
-from relaxbdf.linalg import ExponentialOverflowError, SquaringChain, matrix_exponential
+from relaxbdf.linalg import ExponentialOverflowError, matrix_exponential
 from relaxbdf.models import build_model, initial_data
-from relaxbdf.oracle import (
-    _propagators,
-    exact_evolve,
-    fine_step_reference,
-    mode_matrix,
-)
-from relaxbdf.spectral import SpectralField, field_inner_product, project
+from relaxbdf.oracle import exact_evolve, fine_step_reference, mode_matrix
+from relaxbdf.spectral import SpectralField, field_inner_product, project, zero_field
 from relaxbdf.system import RelaxationSystem
 from relaxbdf.theory import fit_order
 
@@ -61,18 +56,6 @@ class TestExactEvolve:
         )
         evolved = np.asarray(exact_evolve(u0, system, 0.7).coeffs)
         assert evolved.tobytes() == per_mode_evolve(u0, system, 0.7).tobytes()
-
-    @pytest.mark.parametrize("name, epsilon", [("broadwell", 1.0), ("broadwell", 1e-5),
-                                               ("grad", 1e-10)])
-    def test_levels_equal_separate_stacks(self, name, epsilon):
-        # 130 modes make three blocks; eps=1 has depth-0 modes, 1e-5 crosses
-        # the switch to extended precision and 1e-10 is deep throughout.
-        system = build_model(name).system_at(epsilon)
-        chains = []
-        for level in range(4):
-            stack = _propagators(system, 130, 2.0 ** level / 160, chains)
-            assert [chain.t for chain in chains] == [2.0 ** level / 160] * 3
-            assert np.array_equal(stack, _propagators(system, 130, 2.0 ** level / 160))
 
     def test_mode_matrix_accepts_mode_arrays(self):
         system = build_model("grad").system_at(1e-2)
@@ -180,6 +163,85 @@ class TestExactEvolve:
         with pytest.raises(ValueError):
             exact_evolve(initial_data(model, 2, 4, 1.0), model.system_at(1.0), -0.1)
 
+    @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+    def test_nonfinite_or_negative_time_rejected_on_zero_data(self, t):
+        # No mode is exponentiated, so the oracle checks t itself.
+        model = build_model("arz")
+        system = model.system_at(1.0)
+        with pytest.raises(ValueError, match="t must be finite and non-negative"):
+            exact_evolve(zero_field(system.dimension, 4, model.domain_length), system, t)
+
+    def test_band_limited_data_exponentiates_its_support_once(self, monkeypatch):
+        # Grad data occupies modes 0..2 of 1000: one call on those three
+        # modes, each bitwise its per-mode propagator; every other row is zero.
+        model = build_model("grad")
+        system = model.system_at(1e-12)
+        u0 = initial_data(model, 3, 1000, 1e-12)
+        calls = counting_exponentials(monkeypatch)
+        evolved = np.asarray(exact_evolve(u0, system, 0.5).coeffs)
+        assert calls == [(model.data_cutoff + 1, 0.5)]
+        band = slice(1000 - model.data_cutoff, 1000 + model.data_cutoff + 1)
+        truncated = SpectralField(u0.coeffs[band], model.domain_length)
+        assert evolved[band].tobytes() == per_mode_evolve(truncated, system, 0.5).tobytes()
+        outside = np.ones(len(evolved), dtype=bool)
+        outside[band] = False
+        assert not evolved[outside].any()
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_one_sided_complex_field_matches_per_mode_loop(self, sign):
+        # Mode 5 is exponentiated when only its row -5, or only its row +5,
+        # carries data.
+        model = build_model("broadwell")
+        system = model.system_at(1e-6)
+        coeffs = np.zeros((2 * 12 + 1, system.dimension), dtype=complex)
+        coeffs[12 + sign * 5] = [1.0 + 2.0j, -0.5j, 0.25]
+        u0 = SpectralField(coeffs, model.domain_length, real_valued=False)
+        evolved = np.asarray(exact_evolve(u0, system, 0.3).coeffs)
+        assert np.array_equal(evolved, per_mode_evolve(u0, system, 0.3))
+        assert evolved[12 + sign * 5].any()
+
+    def test_zero_field_makes_no_call(self, monkeypatch):
+        model = build_model("grad")
+        system = model.system_at(1e-12)
+        u0 = zero_field(system.dimension, 100, model.domain_length)
+        calls = counting_exponentials(monkeypatch)
+        evolved = exact_evolve(u0, system, 0.5)
+        assert calls == []
+        assert evolved.coeffs.shape == u0.coeffs.shape and not np.asarray(evolved.coeffs).any()
+
+    def test_only_modes_carrying_data_are_capped(self, monkeypatch):
+        # At eps=1 |t M_k|_1 grows with k; the cap is lowered to the depth of
+        # mode 2, so mode 50 is past it.  Zero there, it is never exponentiated.
+        model = build_model("grad")
+        system = model.system_at(1.0)
+        norms = np.abs(0.5 * mode_matrix(system, np.arange(51))).sum(axis=1).max(axis=1)
+        cap = math.ceil(math.log2(norms[2]))
+        assert math.ceil(math.log2(norms[50])) > cap
+        monkeypatch.setattr(linalg, "MAX_SQUARINGS", cap)
+        u0 = initial_data(model, 2, 50, 1.0)
+        exact_evolve(u0, system, 0.5)
+        coeffs = np.array(u0.coeffs)
+        coeffs[0] = coeffs[-1] = 1e-3
+        with pytest.raises(ExponentialOverflowError, match=(
+            rf"mode k=50 at t=0\.5, eps=1: \|t\*matrix\|_1 = \S+ needs \d+ squarings \(cap {cap}\)"
+        )):
+            exact_evolve(SpectralField(coeffs, model.domain_length), system, 0.5)
+
+    def test_time_past_the_squaring_cap_names_mode_time_and_eps(self, monkeypatch):
+        # The cap is lowered to the depth at t = 1/20; t = 1/2 needs four
+        # more squarings.
+        model = build_model("grad")
+        system = model.system_at(1e-10)
+        u0 = random_field(system, model.domain_length, 130)
+        norm = np.abs(mode_matrix(system, np.arange(131)) / 20).sum(axis=1).max()
+        monkeypatch.setattr(linalg, "MAX_SQUARINGS", math.ceil(math.log2(norm)))
+        exact_evolve(u0, system, 1 / 20)
+        with pytest.raises(ExponentialOverflowError, match=(
+            r"mode k=\d+ at t=0\.5, eps=1e-10: \|t\*matrix\|_1 = \S+ needs \d+ squarings "
+            rf"\(cap {linalg.MAX_SQUARINGS}\)"
+        )):
+            exact_evolve(u0, system, 0.5)
+
 
 def random_field(system, domain_length, cutoff):
     rng = np.random.default_rng(cutoff)
@@ -188,108 +250,17 @@ def random_field(system, domain_length, cutoff):
                          domain_length, real_valued=False)
 
 
-def startup_chains(system, cutoff, dts):
-    """The chains a study's exact startups leave, its dts taken finest first."""
-    chains = []
-    for dt in dts:
-        _propagators(system, cutoff, dt, chains)
-    return chains
+def counting_exponentials(monkeypatch):
+    """Record ``(stack size, t)`` of each exponential the oracle takes."""
+    calls = []
+    original = oracle.matrix_exponential
 
+    def counting(matrix, t=1.0):
+        calls.append((len(matrix), t))
+        return original(matrix, t)
 
-def chained_error_bound(system, cutoff, t, t0):
-    """The oracle's error model ``|t M_k|_1 u`` for a reference at ``t``
-    raised from powers at ``t0``: ``u`` is the working precision of mode k's
-    powers, long double where its depth at ``t0`` exceeds 10."""
-    norms = np.abs(mode_matrix(system, np.arange(cutoff + 1))).sum(axis=1).max(axis=1)
-    deep = np.ceil(np.log2(np.maximum(t0 * norms, 1.0))) > 10
-    units = np.where(deep & LONGDOUBLE_IS_EXTENDED,
-                     float(np.finfo(np.longdouble).eps), float(np.finfo(float).eps))
-    return 8 * float(np.max(np.maximum(1.0, t * norms) * units))
-
-
-class TestChainedReference:
-    # 130 modes make three blocks; the startups run at dt = 1/160 .. 1/20 and
-    # leave chains at 1/20, so the reference at t = 1/2 is their 10th power.
-    CUTOFF = 130
-    DTS = (1 / 160, 1 / 80, 1 / 40, 1 / 20)
-
-    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
-    @pytest.mark.parametrize("epsilon", [1.0, 1e-5, 1e-12])
-    def test_within_error_model_of_fresh_reference(self, name, epsilon):
-        model = build_model(name)
-        system = model.system_at(epsilon)
-        u0 = random_field(system, model.domain_length, self.CUTOFF)
-        chains = startup_chains(system, self.CUTOFF, self.DTS)
-        chained = exact_evolve(u0, system, 0.5, chains)
-        fresh = exact_evolve(u0, system, 0.5)
-        residual = np.abs(chained.coeffs - fresh.coeffs).max() / np.abs(u0.coeffs).max()
-        assert residual <= chained_error_bound(system, self.CUTOFF, 0.5, 1 / 20)
-        # The chains are only read.
-        assert [chain.t for chain in chains] == [1 / 20] * 3
-
-    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
-    @pytest.mark.parametrize("epsilon", [1.0, 1e-5, 1e-12])
-    def test_conserved_mean_components_stay_bitwise(self, name, epsilon):
-        model = build_model(name)
-        system = model.system_at(epsilon)
-        u0 = initial_data(model, 3, self.CUTOFF, epsilon)
-        chains = startup_chains(system, self.CUTOFF, self.DTS)
-        evolved = exact_evolve(u0, system, 0.5, chains)
-        bulk = slice(0, system.bulk_size)
-        mean = np.asarray(evolved.coeffs)[self.CUTOFF, bulk]
-        assert mean.tobytes() == np.asarray(u0.coeffs)[self.CUTOFF, bulk].tobytes()
-
-    @pytest.mark.parametrize("chains", [[], [SquaringChain()]], ids=["no-chains", "empty-chain"])
-    def test_without_powers_starts_from_scratch(self, chains):
-        model = build_model("grad")
-        system = model.system_at(1e-10)
-        u0 = random_field(system, model.domain_length, self.CUTOFF)
-        evolved = exact_evolve(u0, system, 0.5, chains)
-        assert evolved.coeffs.tobytes() == exact_evolve(u0, system, 0.5).coeffs.tobytes()
-
-    @pytest.mark.parametrize("t", [0.525, 1 / 30, 0.0])
-    def test_time_not_a_whole_multiple_starts_from_scratch(self, t):
-        model = build_model("grad")
-        system = model.system_at(1e-10)
-        u0 = random_field(system, model.domain_length, self.CUTOFF)
-        chains = startup_chains(system, self.CUTOFF, self.DTS)
-        evolved = exact_evolve(u0, system, t, chains)
-        assert evolved.coeffs.tobytes() == exact_evolve(u0, system, t).coeffs.tobytes()
-
-    def test_chain_left_at_a_finer_level_is_powered_from_there(self, monkeypatch):
-        # The dt = 1/20 startup fails past a cap lowered to the depth at
-        # 1/40: the chains stay at 1/40, and the reference is their 20th power.
-        model = build_model("grad")
-        system = model.system_at(1e-10)
-        u0 = random_field(system, model.domain_length, self.CUTOFF)
-        chains = startup_chains(system, self.CUTOFF, self.DTS[:3])
-        norm = np.abs(mode_matrix(system, np.arange(self.CUTOFF + 1)) / 40).sum(axis=1).max()
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "MAX_SQUARINGS", math.ceil(math.log2(norm)))
-            with pytest.raises(ExponentialOverflowError):
-                _propagators(system, self.CUTOFF, 1 / 20, chains)
-        assert [chain.t for chain in chains] == [1 / 40] * 3
-        evolved = exact_evolve(u0, system, 0.5, chains)
-        finer = exact_evolve(u0, system, 0.5, startup_chains(system, self.CUTOFF, self.DTS[:3]))
-        assert evolved.coeffs.tobytes() == finer.coeffs.tobytes()
-        residual = np.abs(evolved.coeffs - exact_evolve(u0, system, 0.5).coeffs).max()
-        assert residual / np.abs(u0.coeffs).max() <= chained_error_bound(
-            system, self.CUTOFF, 0.5, 1 / 40)
-
-    def test_time_past_the_squaring_cap_names_mode_time_and_eps(self, monkeypatch):
-        # Every startup is within a cap lowered to the depth at 1/20; the
-        # reference at 1/2 needs four more squarings.
-        model = build_model("grad")
-        system = model.system_at(1e-10)
-        u0 = random_field(system, model.domain_length, self.CUTOFF)
-        norm = np.abs(mode_matrix(system, np.arange(self.CUTOFF + 1)) / 20).sum(axis=1).max()
-        monkeypatch.setattr(linalg, "MAX_SQUARINGS", math.ceil(math.log2(norm)))
-        chains = startup_chains(system, self.CUTOFF, self.DTS)
-        with pytest.raises(ExponentialOverflowError, match=(
-            r"mode k=\d+ at t=0\.5, eps=1e-10: \|t\*matrix\|_1 = \S+ needs \d+ squarings "
-            rf"\(cap {linalg.MAX_SQUARINGS}\)"
-        )):
-            exact_evolve(u0, system, 0.5, chains)
+    monkeypatch.setattr(oracle, "matrix_exponential", counting)
+    return calls
 
 
 class TestFineStepReference:
