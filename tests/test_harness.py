@@ -342,6 +342,28 @@ class TestPropagatorChains:
         assert errors == per_cell_errors(config)
         assert None not in errors
 
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_exact_study_exponentiates_only_the_data_modes(self, name, order, monkeypatch):
+        # Of 32 modes the data occupies 0..data_cutoff: each cell's startup
+        # and each block's reference is one exponential of those modes.
+        from relaxbdf import oracle
+
+        calls = []
+        original = oracle.matrix_exponential
+
+        def counting(matrix, t=1.0):
+            calls.append((len(matrix), t))
+            return original(matrix, t)
+
+        monkeypatch.setattr(oracle, "matrix_exponential", counting)
+        config = small_config(model=name, order=order, epsilons=(1.0, 1e-5, 1e-10), modes=32)
+        rows = run_convergence_study(config).rows
+        assert None not in [row.l2_error for row in rows]
+        support = build_model(name).data_cutoff + 1
+        cells = [(support, dt) for dt in config.dts]
+        assert sorted(calls) == sorted((cells + [(support, config.t_final)]) * 3)
+
     def test_reference_failing_after_the_cells_fails_its_block(self, monkeypatch, caplog):
         # The cap is lowered to the depth of the coarsest cell at eps=1e-10:
         # every cell runs, and the reference at t=1 is past the cap.

@@ -533,6 +533,25 @@ class TestRun:
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             run(u0, model.system_at(1.0), 2, dt, 1.0)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_step_map_startup_matches_exact(self, q):
+        # The exact startup applies one step map q-1 times: each startup
+        # value is exact_evolve of the one before, and BDF stepping goes on
+        # from them.
+        model = build_model("broadwell")
+        system = model.system_at(1e-6)
+        q_data, dt = max(q, 2), 1 / 40
+        u0 = initial_data(model, q_data, 12, 1e-6)
+        history = [u0]
+        for _ in range(q - 1):
+            history.append(exact_evolve(history[-1], system, dt))
+        coeffs = bdf_coefficients(q)
+        state = make_solver_state(history, system, coeffs, dt)
+        for _ in range(20 - (q - 1)):
+            expected = imex_bdf_step(state, system, coeffs)
+        final = run(u0, system, q, dt, 0.5, startup="exact")
+        assert np.asarray(final.coeffs).tobytes() == np.asarray(expected.coeffs).tobytes()
+
     def test_ars_spec_divisor_matches_manual_stepping(self):
         model = build_model("broadwell")
         system = model.system_at(1e-3)

@@ -57,6 +57,42 @@ class TestExactEvolve:
         evolved = np.asarray(exact_evolve(u0, system, 0.7).coeffs)
         assert evolved.tobytes() == per_mode_evolve(u0, system, 0.7).tobytes()
 
+    @pytest.mark.parametrize("name, epsilon", [("broadwell", 1.0), ("broadwell", 1e-5),
+                                               ("grad", 1e-10)])
+    def test_levels_equal_separate_stacks(self, name, epsilon):
+        # 130 modes make three blocks; over the dt levels 1/160 .. 1/20, eps=1
+        # has depth-0 modes, 1e-5 crosses the switch to extended precision
+        # within a block and 1e-10 is deep throughout.
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        u0 = random_field(system, model.domain_length, 130)
+        for level in range(4):
+            t = 2.0 ** level / 160
+            evolved = np.asarray(exact_evolve(u0, system, t).coeffs)
+            assert evolved.tobytes() == per_mode_evolve(u0, system, t).tobytes()
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-5, 1e-12])
+    def test_band_limited_data_matches_every_mode_exponentiated(self, name, epsilon):
+        # The 127 or more empty modes of the 130 are skipped, and the field
+        # is the one that exponentiating every mode gives.
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        u0 = initial_data(model, 3, 130, epsilon)
+        evolved = np.asarray(exact_evolve(u0, system, 0.5).coeffs)
+        assert np.array_equal(evolved, per_mode_evolve(u0, system, 0.5))
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-5, 1e-12])
+    def test_conserved_mean_components_stay_bitwise(self, name, epsilon):
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        u0 = initial_data(model, 3, 130, epsilon)
+        evolved = exact_evolve(u0, system, 0.5)
+        bulk = slice(0, system.bulk_size)
+        mean = np.asarray(evolved.coeffs)[130, bulk]
+        assert mean.tobytes() == np.asarray(u0.coeffs)[130, bulk].tobytes()
+
     def test_mode_matrix_accepts_mode_arrays(self):
         system = build_model("grad").system_at(1e-2)
         stack = mode_matrix(system, np.array([3, -3]))
