@@ -28,14 +28,12 @@ runs the steps; it writes each new value into the history buffer it retires,
 so no step allocates.  A step that overflows or makes a NaN raises
 ``NonFiniteStepError`` naming the step, eps and dt.
 
-A real-valued history (``u_hat[-k] = conj(u_hat[k])``) is stepped on its
-rows ``k = 0..N`` only, and the rows ``-k`` are rebuilt as conjugates when a
-field is returned.  This is exact: every step operation is elementwise or a
-right product with a real block matrix, both symmetric under a sign change
-in IEEE arithmetic, so the full step maps an exactly symmetric history to an
-exactly symmetric result.  A field whose rows ``-k`` match only within the
-symmetry tolerance comes out exactly symmetric (from its rows ``k >= 0``,
-with a real ``k = 0`` mode).  Other fields keep all 2N+1 rows.
+The modes decouple and a zero mode stays exactly zero, so the steps and the
+startup run only on the rows ``k`` and ``-k`` of the modes the data occupies.
+A real-valued history (``u_hat[-k] = conj(u_hat[k])``) is first made the
+exact mirror of its rows ``k >= 0``, with a real ``k = 0`` row; every step
+operation is elementwise or a right product with a real block matrix, both
+symmetric under a sign change in IEEE arithmetic, so the mirror stays exact.
 
 Startup values for q >= 2 apply one per-mode map of a step ``dt`` q-1
 times: the exact propagator ("exact", the default for testing) or N refined
@@ -57,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import PIVOT_RTOL, SingularMatrixError, _check_positive, lu_factor
-from .oracle import _exact_step
+from .oracle import _check_matches, _exact_step, _map_rows, _occupied
 from .spectral import SpectralField
 from .system import RelaxationSystem
 
@@ -141,13 +139,12 @@ def bdf_coefficients(q: int) -> BDFCoefficients:
 class SolverState:
     """Mutable per-run state: the history ring plus the per-run constants.
 
-    ``history[i]`` holds the coefficients of ``u^{n+i}`` (oldest first) as the
+    ``history[i]`` holds the coefficients of ``u^{n+i}`` (oldest first) on
+    the stepped ``rows`` (a mask of the 2N+1 rows of a returned field) as the
     float64 view of a complex (rows, n) array: columns 2j and 2j+1 are the
-    real and imaginary parts of component j.  A real-valued history keeps the
-    rows ``k = 0..N``, shape (N+1, 2n); any other keeps all modes, shape
-    (2N+1, 2n).  The q buffers are fixed: a step writes the new value into the
-    oldest one and moves it to the end.  The constants, on the same rows, act
-    on such views from the right:
+    real and imaginary parts of component j.  The q buffers are fixed: a step
+    writes the new value into the oldest one and moves it to the end.  The
+    constants, on the same rows, act on such views from the right:
 
     * ``convection_block`` is ``kron(A^T, [[0, 1], [-1, 0]])``, the product
       with ``i A`` (the factor i of ``d_x`` folded in);
@@ -170,6 +167,7 @@ class SolverState:
     alpha: tuple[np.ndarray, ...]
     gamma: tuple[np.ndarray, ...]
     scratch: np.ndarray
+    rows: np.ndarray
     domain_length: float
     real_valued: bool
 
@@ -217,9 +215,8 @@ def make_solver_state(
 ) -> SolverState:
     """Build a ready-to-step state from the q startup fields.
 
-    A real-valued history keeps only its rows ``k = 0..N``, with the
-    imaginary part of ``k = 0`` set to zero; the rows ``-k`` are rebuilt as
-    their conjugates when a field is returned.
+    It steps the rows any of them occupies; a real-valued history is first
+    made the exact mirror of its rows ``k >= 0``, with a real ``k = 0`` row.
     """
     if len(history) != coeffs.q:
         raise ValueError(f"history must hold {coeffs.q} fields, got {len(history)}")
@@ -227,13 +224,15 @@ def make_solver_state(
     for other in history[1:]:
         if not first.same_layout(other):
             raise ValueError("history fields must share (n, N, L)")
-    if first.n != system.dimension:
-        raise ValueError(
-            f"fields have {first.n} components but system dimension is {system.dimension}"
-        )
+    _check_matches(first, system)
     n = system.dimension
     real_valued = all(f.real_valued for f in history)
-    rows = slice(first.cutoff, None) if real_valued else slice(None)
+    rows = np.logical_or.reduce([_occupied(f) for f in history])
+    values = np.array([f.coeffs[rows] for f in history])
+    if real_valued:
+        modes = first.mode_numbers[rows]
+        values[:, modes < 0] = np.conj(values[:, modes > 0][:, ::-1])
+        values.imag[:, modes == 0] = 0.0
     inverse = _normal_form_inverse(
         system,
         coeffs.alpha[-1],
@@ -241,10 +240,7 @@ def make_solver_state(
         - (coeffs.beta * dt / system.epsilon) * system.stiff_block,
         f"BDF implicit matrix (eps={system.epsilon:g}, dt={dt:g})",
     )
-    views = [np.array(f.coeffs[rows]).view(np.float64) for f in history]
-    if real_valued:
-        for view in views:
-            view[0, 1::2] = 0.0
+    views = list(values.view(np.float64))
     return SolverState(
         history=views,
         step_index=0,
@@ -255,6 +251,7 @@ def make_solver_state(
         alpha=tuple(np.array(a) for a in coeffs.alpha),
         gamma=tuple(np.array(g) for g in coeffs.gamma),
         scratch=np.empty((3,) + views[0].shape),
+        rows=rows,
         domain_length=first.domain_length,
         real_valued=real_valued,
     )
@@ -303,11 +300,9 @@ def _advance(state: SolverState, count: int = 1) -> np.ndarray:
 
 
 def _field(state: SolverState, view: np.ndarray) -> SpectralField:
-    """The field of a history view; a real field's rows ``-k`` are the
-    conjugates of its rows ``k``."""
-    values = view.view(np.complex128)
-    if state.real_valued:
-        values = np.concatenate((np.conj(values[:0:-1]), values))
+    """The field of a history view: its stepped rows, zeros elsewhere."""
+    values = np.zeros((len(state.rows), view.shape[1] // 2), dtype=complex)
+    values[state.rows] = view.view(np.complex128)
     return SpectralField(values, state.domain_length, state.real_valued)
 
 
@@ -414,7 +409,7 @@ def _ars_increment(
     substep: float,
     wavenumbers: np.ndarray,
 ) -> np.ndarray:
-    """Per-mode increments ``D_k = R_k - I`` of one ARS substep, shape (2N+1, n, n).
+    """Per-mode increments ``D_k = R_k - I`` of one ARS substep, one per wavenumber.
 
     The substep is linear and acts on each mode separately, so stage i is a
     per-mode matrix ``K_i`` (``K_0 = I``).  The weighted stage sum is formed
@@ -480,15 +475,18 @@ def ars_startup(
     Each slab of width dt is integrated with the order-matched ARS scheme at
     the refined substep ``dt / substep_divisor``, so the startup error sits
     far below the multistep truncation error.  The substeps of a slab are
-    composed into one per-mode map ``I + E``, applied as ``v + E v``.
+    composed into one per-mode map ``I + E``, applied as ``v + E v`` on the
+    rows ``u0`` occupies; the other rows stay zero.
     """
+    _check_matches(u0, system)
+    if type(substep_divisor) is not int or substep_divisor < 1:
+        raise ValueError(f"substep_divisor must be an integer >= 1, got {substep_divisor!r}")
     if q == 1:
         return [u0]
-    if substep_divisor < 1:
-        raise ValueError("substep_divisor must be >= 1")
-    increment = _ars_increment(system, ars_tableau(q), dt / substep_divisor, u0.wavenumbers)
-    slab = _increment_power(increment, substep_divisor)
-    return _startup_history(u0, q, lambda v: v + (slab @ v[..., np.newaxis])[..., 0])
+    rows = _occupied(u0)
+    increment = _ars_increment(system, ars_tableau(q), dt / substep_divisor, u0.wavenumbers[rows])
+    slab = [(rows, _increment_power(increment, substep_divisor))]
+    return _startup_history(u0, q, lambda v: v + _map_rows(slab, v))
 
 
 def _startup_history(u0: SpectralField, q: int, step) -> list[SpectralField]:
@@ -557,8 +555,7 @@ def run(
     sweep with N substeps per step.  Bit-for-bit deterministic for
     identical inputs.
     """
-    if u0.n != system.dimension:
-        raise ValueError("initial field does not match the system dimension")
+    _check_matches(u0, system)
     divisor = _startup_divisor(startup)
     coeffs = bdf_coefficients(q)
     total = _integer_step_count(t_final - t_start, dt, q)

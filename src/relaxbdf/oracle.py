@@ -18,11 +18,12 @@ the k=0 one is the identity on the conserved components.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .linalg import ExponentialOverflowError, matrix_exponential
-from .spectral import SpectralField
+from .spectral import _PERIOD_RTOL, SpectralField
 from .system import RelaxationSystem
 
 __all__ = ["mode_matrix", "exact_evolve", "fine_step_reference"]
@@ -42,6 +43,28 @@ def mode_matrix(system: RelaxationSystem, k: int | np.ndarray) -> np.ndarray:
     return np.multiply.outer(-1j * kappa, system.convection) + np.asarray(system.source) / system.epsilon
 
 
+def _check_matches(field: SpectralField, system: RelaxationSystem) -> None:
+    """Raise ``ValueError`` unless ``field`` has the system's dimension and period."""
+    if field.n != system.dimension or not math.isclose(
+            field.domain_length, system.domain_length, rel_tol=_PERIOD_RTOL):
+        raise ValueError(f"field (n={field.n}, L={field.domain_length!r}) does not match the "
+                         f"system (n={system.dimension}, L={system.domain_length!r})")
+
+
+def _occupied(field: SpectralField) -> np.ndarray:
+    """Mask of the rows ``k`` and ``-k`` of each mode ``k`` occupied in either row."""
+    nonzero = field.coeffs.any(axis=1)
+    return nonzero | nonzero[::-1]
+
+
+def _map_rows(maps, values: np.ndarray) -> np.ndarray:
+    """``P v`` on the rows of each ``(rows, P)`` of ``maps``; zero on the other rows."""
+    mapped = np.zeros(values.shape, dtype=complex)
+    for rows, matrices in maps:
+        mapped[rows] = (matrices @ values[rows][..., np.newaxis])[..., 0]
+    return mapped
+
+
 def _exact_step(u0: SpectralField, system: RelaxationSystem, t: float):
     """The per-mode map ``v -> exp(t M_k) v`` on the modes ``u0`` occupies.
 
@@ -54,9 +77,7 @@ def _exact_step(u0: SpectralField, system: RelaxationSystem, t: float):
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and non-negative, got {t!r}")
-    coeffs = np.asarray(u0.coeffs)
-    occupied = coeffs[u0.cutoff:].any(axis=1) | coeffs[u0.cutoff::-1].any(axis=1)
-    support = np.flatnonzero(occupied)
+    support = np.flatnonzero(_occupied(u0)[u0.cutoff:])
     maps = []
     for first in range(0, len(support), _MODE_BLOCK):
         ks = support[first:first + _MODE_BLOCK]
@@ -68,14 +89,7 @@ def _exact_step(u0: SpectralField, system: RelaxationSystem, t: float):
             ) from exc
         # Rows -k before +k: row 0 is then left holding P_0 v, not its conjugate's.
         maps += [(u0.cutoff - ks, np.conj(block)), (u0.cutoff + ks, block)]
-
-    def step(values: np.ndarray) -> np.ndarray:
-        mapped = np.zeros(values.shape, dtype=complex)
-        for rows, propagators in maps:
-            mapped[rows] = (propagators @ values[rows][..., np.newaxis])[..., 0]
-        return mapped
-
-    return step
+    return partial(_map_rows, maps)
 
 
 def exact_evolve(u0: SpectralField, system: RelaxationSystem, t: float) -> SpectralField:
@@ -85,8 +99,7 @@ def exact_evolve(u0: SpectralField, system: RelaxationSystem, t: float) -> Spect
     Only the modes the field occupies are exponentiated, and the others stay
     exactly zero.
     """
-    if u0.n != system.dimension:
-        raise ValueError("field does not match the system dimension")
+    _check_matches(u0, system)
     values = _exact_step(u0, system, t)(np.asarray(u0.coeffs))
     return SpectralField(values, u0.domain_length, u0.real_valued)
 

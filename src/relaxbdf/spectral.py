@@ -12,6 +12,7 @@ read-only array ``coeffs`` and its point values come from ``evaluate``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,6 +26,7 @@ __all__ = [
 ]
 
 _SYMMETRY_RTOL = 1e-12
+_PERIOD_RTOL = 1e-14  # relative tolerance of two periods that are the same
 
 
 def _check_conjugate_symmetry(coeffs: np.ndarray) -> None:
@@ -99,11 +101,8 @@ class SpectralField:
         return self.coeffs[k + self.cutoff]
 
     def same_layout(self, other: "SpectralField") -> bool:
-        return (
-            self.coeffs.shape == other.coeffs.shape
-            and abs(self.domain_length - other.domain_length)
-            <= 1e-14 * max(self.domain_length, other.domain_length)
-        )
+        return self.coeffs.shape == other.coeffs.shape and math.isclose(
+            self.domain_length, other.domain_length, rel_tol=_PERIOD_RTOL)
 
     # -- calculus ----------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from relaxbdf.integrator import (
     run,
 )
 from relaxbdf.models import build_model, initial_data
-from relaxbdf.oracle import exact_evolve
+from relaxbdf.oracle import _occupied, exact_evolve
 from relaxbdf.spectral import SpectralField, zero_field
 from relaxbdf.system import RelaxationSystem
 from relaxbdf.theory import fit_order
@@ -239,23 +240,30 @@ class TestRealViewStep:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     @pytest.mark.parametrize("epsilon", [1.0, 1e-8])
     def test_matches_complex_step_bitwise(self, name, q, epsilon):
+        # The model's data, and its k=0 row alone: one stepped row takes a
+        # different BLAS path from several.
         model = build_model(name)
         system = model.system_at(epsilon)
         coeffs = bdf_coefficients(q)
         dt = 1e-3
         u0 = initial_data(model, max(q, 2), 16, epsilon)
-        fields = [exact_evolve(u0, system, i * dt) for i in range(q)]
-        state = make_solver_state(fields, system, coeffs, dt)
+        mean = np.zeros_like(u0.coeffs)
+        mean[16] = u0.mode(0)
         matrix = coeffs.alpha[-1] * np.eye(system.dimension) - (
             coeffs.beta * dt / epsilon
         ) * np.asarray(system.source)
         inverse = lu_factor(matrix).solve(np.eye(system.dimension))
-        history = [np.array(f.coeffs) for f in fields]
-        for _ in range(50):
-            expected = complex_step(history, system, coeffs, dt, u0.wavenumbers, inverse)
-            history = history[1:] + [expected]
-            stepped = imex_bdf_step(state, system, coeffs)
-            assert np.array_equal(stepped.coeffs, expected)
+        one_row = SpectralField(mean, u0.domain_length)
+        for data, rows in ((u0, 2 * model.data_cutoff + 1), (one_row, 1)):
+            fields = [exact_evolve(data, system, i * dt) for i in range(q)]
+            state = make_solver_state(fields, system, coeffs, dt)
+            assert len(state.history[0]) == rows
+            history = [np.array(f.coeffs) for f in fields]
+            for _ in range(50):
+                expected = complex_step(history, system, coeffs, dt, u0.wavenumbers, inverse)
+                history = history[1:] + [expected]
+                stepped = imex_bdf_step(state, system, coeffs)
+                assert np.array_equal(stepped.coeffs, expected)
 
     def test_returned_field_survives_later_steps(self):
         model = build_model("broadwell")
@@ -270,12 +278,13 @@ class TestRealViewStep:
             imex_bdf_step(state, system, coeffs)
         assert state.history[0] is ring
         assert not np.shares_memory(ring, state.scratch)
-        assert np.array_equal(ring.view(complex), kept[u0.cutoff:])
+        assert np.array_equal(ring.view(complex), kept[_occupied(u0)])
         assert np.array_equal(first.coeffs, kept)
 
 
 class TestHalfSpectrum:
-    """A real field steps only its rows k >= 0 and is mirrored on return."""
+    """A real field steps the rows its data occupies, as its complex twin does,
+    and comes out an exact mirror."""
 
     @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -300,7 +309,7 @@ class TestHalfSpectrum:
         u0 = SpectralField(u0.coeffs, u0.domain_length, real_valued)
         state = make_solver_state([u0] * q, system, coeffs, dt=1e-2)
         buffers = list(state.history)
-        rows = cutoff + 1 if real_valued else 2 * cutoff + 1
+        rows = 2 * model.data_cutoff + 1
         assert all(b.shape == (rows, 2 * system.dimension) for b in buffers)
         for i, buffer in enumerate(buffers):
             assert not np.shares_memory(buffer, state.scratch)
@@ -454,6 +463,31 @@ class TestArsStartup:
             assert np.array_equal(field.mode(0)[:bulk], conserved)
         final = run(u0, system, q, 1e-2, 0.5, startup="ars:50")
         assert np.array_equal(final.mode(0)[:bulk], conserved)
+
+    @pytest.mark.parametrize("divisor", [2.5, 2.0, "4", True, 0, -3])
+    def test_divisor_must_be_a_positive_integer(self, divisor):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(divisor))}$"):
+            ars_startup(constant_field(), scalar_decay_system(), 2, 0.1, substep_divisor=divisor)
+
+    def test_increments_cover_only_the_data_modes(self, monkeypatch):
+        from relaxbdf import integrator
+
+        sizes = []
+        original = integrator._ars_increment
+
+        def recording(system, tableau, substep, wavenumbers):
+            sizes.append(len(wavenumbers))
+            return original(system, tableau, substep, wavenumbers)
+
+        monkeypatch.setattr(integrator, "_ars_increment", recording)
+        model = build_model("grad")
+        u0 = initial_data(model, 4, 100, 1e-2)
+        fields = ars_startup(u0, model.system_at(1e-2), 4, 1e-2, substep_divisor=5)
+        assert sizes == [2 * model.data_cutoff + 1]
+        band = slice(100 - model.data_cutoff, 100 + model.data_cutoff + 1)
+        for field in fields:
+            outside = np.delete(np.asarray(field.coeffs), band, axis=0)
+            assert not outside.any()
 
     def test_tableau_row_sums_consistent(self):
         for tableau in (ars_tableau(2), ars_tableau(4)):
@@ -617,6 +651,26 @@ class TestRun:
         run(u0, system, 1, 1 / 40, 0.5, startup="exact")  # no startup values
         assert len(calls) == 1
 
+    def test_field_period_must_match_the_system(self):
+        # Stepped with the field's kappa and exponentiated with the system's,
+        # a period-1 field against the 2pi Grad system has grid error 0.56.
+        model = build_model("grad")
+        system = model.system_at(1.0)
+        u0 = initial_data(model, 4, 8, 1.0)
+        other = SpectralField(u0.coeffs, 1.0)
+        message = r"field \(n=6, L=1\.0\) does not match the system \(n=6, L=6\.283185307179586\)"
+        with pytest.raises(ValueError, match=message):
+            run(other, system, 4, 1 / 80, 1.0)
+        with pytest.raises(ValueError, match=message):
+            exact_evolve(other, system, 1.0)
+        with pytest.raises(ValueError, match=message):
+            ars_startup(other, system, 4, 1 / 80, substep_divisor=50)
+        with pytest.raises(ValueError, match=message):
+            make_solver_state([other] * 4, system, bdf_coefficients(4), 1 / 80)
+        close = SpectralField(u0.coeffs, system.domain_length * (1 + 1e-15))
+        final = run(close, system, 4, 1 / 80, 1.0)
+        assert compute_error(final, exact_evolve(close, system, 1.0)) < 1e-4
+
     def test_blow_up_names_step_eps_and_dt(self):
         # dt=0.5 is far past the stability bound at N=100: the run overflows.
         model = build_model("arz")
@@ -642,6 +696,33 @@ class TestRun:
             compute_error(run(u0, system, 2, dt, 0.5), reference) for dt in dts
         ]
         assert fit_order(dts, errors) == pytest.approx(2.0, abs=0.15)
+
+
+class TestModeCount:
+    """N enters only through the norm: the data's rows do not depend on it."""
+
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    @pytest.mark.parametrize("startup", ["exact", "ars:50"])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-6])
+    def test_data_rows_are_the_same_for_every_n(self, name, startup, epsilon):
+        # The continuum error sums over 2N+1 rows, which may group its terms
+        # differently: Broadwell at N >= 100 moves by up to 1.9e-16 relative.
+        model = build_model(name)
+        system = model.system_at(epsilon)
+        data = model.data_cutoff
+        results = []
+        for cutoff in (data, 8, 100, 1000):
+            u0 = initial_data(model, 4, cutoff, epsilon)
+            final = run(u0, system, 4, 1 / 80, 1.0, startup=startup)
+            exact = exact_evolve(u0, system, 1.0)
+            band = slice(cutoff - data, cutoff + data + 1)
+            results.append((np.asarray(final.coeffs)[band].tobytes(),
+                            np.asarray(exact.coeffs)[band].tobytes(), compute_error(final, exact)))
+        first = results[0]
+        for computed, reference, error in results[1:]:
+            assert computed == first[0]
+            assert reference == first[1]
+            assert error == pytest.approx(first[2], rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 def dense_implicit_inverse(system, coeffs, dt):

@@ -59,7 +59,7 @@ class TestExactEvolve:
 
     @pytest.mark.parametrize("name, epsilon", [("broadwell", 1.0), ("broadwell", 1e-5),
                                                ("grad", 1e-10)])
-    def test_levels_equal_separate_stacks(self, name, epsilon):
+    def test_each_dt_level_matches_per_mode_loop(self, name, epsilon):
         # 130 modes make three blocks; over the dt levels 1/160 .. 1/20, eps=1
         # has depth-0 modes, 1e-5 crosses the switch to extended precision
         # within a block and 1e-10 is deep throughout.
