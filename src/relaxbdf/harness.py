@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 
 from .integrator import _integer_step_count, _startup_divisor, bdf_coefficients, run
@@ -49,8 +50,9 @@ class ExperimentConfig:
 
     ``startup`` is an :func:`relaxbdf.integrator.run` startup spec: "exact",
     "ars" or "ars:N".  ``reference`` is "exact" or "fine:DT", whose step must
-    divide the interval.  ``order`` must be a BDF order, 1..4.  Every epsilon
-    must be finite and positive, and the times finite.
+    divide the interval.  ``order`` (a BDF order, 1..4) and ``modes`` are
+    integers or integer strings.  Every epsilon must be finite and positive,
+    and the times finite.
     """
 
     model: str
@@ -68,6 +70,9 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("order", "modes"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "overrides", dict(self.overrides))
         object.__setattr__(self, "epsilons", tuple(_number("epsilon", e) for e in self.epsilons))
         object.__setattr__(self, "dts", tuple(_number("dt", d) for d in self.dts))
         for name in ("t_start", "t_final"):
@@ -107,16 +112,25 @@ class ExperimentConfig:
         """
         doc = json.loads(text) if isinstance(text, str) else dict(text)
         doc.update({k: v for k, v in cli_overrides.items() if v is not None})
-        specs = [f for f in fields(cls) if f.name in doc]
         missing = [f.name for f in fields(cls)
                    if f.name not in doc and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ValueError(f"missing required fields: {missing}")
-        return cls(**{f.name: _FROM_JSON.get(f.name, lambda v: v)(doc[f.name]) for f in specs})
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
 
-# How from_json reads the scalar fields; __post_init__ parses the numbers.
-_FROM_JSON = {"order": int, "modes": int, "overrides": dict}
+def _integer(name: str, value) -> int:
+    """An integer, an integral float or an integer string as an int; anything
+    else, a bool included, is a ``ValueError`` naming the field."""
+    integral = isinstance(value, float) and value.is_integer()
+    if integral or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _number(name: str, value) -> float:
@@ -160,7 +174,7 @@ class ConvergenceTable:
 
 def compute_error(u: SpectralField, ref: SpectralField) -> float:
     """L2 norm of the componentwise difference of two matching fields."""
-    if u.coeffs.shape != ref.coeffs.shape or not u.same_layout(ref):
+    if not u.same_layout(ref):
         raise ShapeMismatchError(
             f"field layouts differ: {u.coeffs.shape} vs {ref.coeffs.shape}"
         )

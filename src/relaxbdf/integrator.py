@@ -135,7 +135,7 @@ def bdf_coefficients(q: int) -> BDFCoefficients:
     return BDFCoefficients(q=q, alpha=np.array(alpha), gamma=np.array(gamma), beta=beta)
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverState:
     """Mutable per-run state: the history ring plus the per-run constants.
 
@@ -155,7 +155,7 @@ class SolverState:
     ``alpha`` and ``gamma`` are the scheme weights as 0-d float64 arrays,
     which a ufunc takes without converting a scalar on every call, and
     ``scratch`` holds the step's three temporaries; no history buffer lives
-    in it.
+    in it.  States compare by identity.
     """
 
     history: list[np.ndarray]

@@ -60,11 +60,9 @@ class ExponentialOverflowError(OverflowError):
         self.index = index
 
 
-def validate_matrix(
-    entries, *, square: bool = True, stack: bool = True, name: str = "matrix"
-) -> np.ndarray:
-    """Coerce ``entries`` to a float/complex matrix ``(m, n)`` or, when
-    ``stack`` is set, a stack of matrices ``(K, m, n)``, and reject non-finite
+def validate_matrix(entries, *, stack: bool = True, name: str = "matrix") -> np.ndarray:
+    """Coerce ``entries`` to a square float/complex matrix ``(n, n)`` or, when
+    ``stack`` is set, a stack of them ``(K, n, n)``, and reject non-finite
     data."""
     arr = np.array(entries, copy=True)
     if arr.dtype.kind in "iub":
@@ -74,7 +72,7 @@ def validate_matrix(
     if arr.ndim not in ((2, 3) if stack else (2,)) or min(arr.shape) < 1:
         kind = "a 2-D matrix or a stack of them" if stack else "a 2-D matrix"
         raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
-    if square and arr.shape[-2] != arr.shape[-1]:
+    if arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")

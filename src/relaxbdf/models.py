@@ -12,7 +12,8 @@ Three linearized models ship with the library:
 Each model records its raw matrices, the change of variables bringing the
 source to normal form, a verified stability witness, and the standard initial
 profiles, including the epsilon-dependent corrections that make the data
-well prepared for the higher-order schemes.
+well prepared for the higher-order schemes.  Models are built at eps = 1;
+``ModelSpec.system_at`` sets eps.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .integrator import UnsupportedOrderError
-from .linalg import _check_positive, inverse
+from .linalg import _check_positive
 from .spectral import SpectralField, project
 from .system import (
     RelaxationSystem,
@@ -56,16 +57,17 @@ class InvalidParameterError(ValueError):
 class ModelSpec:
     """A concrete model: normal-form system plus provenance of the transform.
 
-    ``profile(model, q, cutoff, epsilon)`` returns the raw-variable initial
-    coefficients, shape (2*cutoff+1, n), well prepared for order q; it raises
-    ``UnsupportedOrderError`` for orders it does not define.
+    Every model is built at ``epsilon = 1``; ``system_at(epsilon)`` is its
+    system at another relaxation time.  ``profile(model, q, cutoff, epsilon)``
+    returns the raw-variable initial coefficients, shape (2*cutoff+1, n), well
+    prepared for order q; it raises ``UnsupportedOrderError`` for orders it
+    does not define.
     """
 
     name: str
     parameters: Mapping[str, float]
     system: RelaxationSystem
     witness: StabilityWitness
-    domain_length: float
     raw_convection: np.ndarray
     raw_source: np.ndarray
     transform: np.ndarray
@@ -73,12 +75,35 @@ class ModelSpec:
     data_cutoff: int  # largest mode carried by the initial profiles
     profile: Callable[["ModelSpec", int, int, float], np.ndarray]
 
+    @property
+    def domain_length(self) -> float:
+        return self.system.domain_length
+
     def system_at(self, epsilon: float) -> RelaxationSystem:
         return self.system.with_epsilon(epsilon)
 
 
+def _model(name, parameters, convection, source, transform, domain_length, data_cutoff,
+           profile, raw_symmetrizer=None) -> ModelSpec:
+    """The model of ``U_t + A U_x = Q U / eps`` in the variables ``P U``, at eps 1.
+
+    Its witness is ``(P, raw_symmetrizer)`` moved to normal form, or else
+    the one :func:`find_symmetrizer` finds.
+    """
+    system = RelaxationSystem(*transform_to_normal_form(convection, source, transform),
+                              epsilon=1.0, domain_length=domain_length)
+    if raw_symmetrizer is None:
+        raw_witness, witness = None, find_symmetrizer(system)
+    else:
+        raw_witness = StabilityWitness(transform, raw_symmetrizer, system.stiff_size)
+        witness = StabilityWitness(
+            np.eye(system.dimension), raw_witness.normal_form_symmetrizer(), system.stiff_size
+        )
+    return ModelSpec(name, parameters, system, witness, convection, source, transform,
+                     raw_witness, data_cutoff, profile)
+
+
 def make_arz(
-    epsilon: float = 1.0,
     c0: float = 1.5,
     gamma: float = 1.0,
     rho_m: float = 8.0,
@@ -91,7 +116,8 @@ def make_arz(
     Density/velocity dynamics about the uniform state ``(rho*, v*)`` with
     pressure ``p = c0 rho^gamma`` and Greenshields equilibrium speed
     ``V(rho) = v_f (1 - rho/rho_m)``; the velocity relaxes toward
-    ``V'(rho*) rho`` on the timescale epsilon.
+    ``V'(rho*) rho`` on the timescale epsilon.  The hand-written raw
+    symmetrizer certifies the default parameters only.
     """
     pressure_slope = c0 * gamma * rho_star ** (gamma - 1.0)
     relax_slope = -v_f / rho_m
@@ -109,48 +135,17 @@ def make_arz(
         [1.0, 0.0],
         [-relax_slope, 1.0],
     ])
-    normal = transform_to_normal_form(convection, source, transform)
-    system = RelaxationSystem(
-        convection=normal.convection,
-        source=normal.source,
-        stiff_size=normal.stiff_size,
-        epsilon=epsilon,
-        domain_length=1.0,
-    )
     defaults = (c0, gamma, rho_m, v_f, rho_star, v_star) == (1.5, 1.0, 8.0, 4.0, 1.0, 1.0)
-    if defaults:
-        raw_symmetrizer = np.array([[3.0, 2.0], [2.0, 4.0]])
-        raw_witness = StabilityWitness(transform, raw_symmetrizer, stiff_size=1)
-        p_inv = inverse(transform)
-        witness = StabilityWitness(
-            np.eye(2), p_inv.T @ raw_symmetrizer @ p_inv, stiff_size=1
-        )
-    else:
-        raw_witness = None
-        witness = find_symmetrizer(system)
-    return ModelSpec(
-        name="arz",
-        parameters={
-            "c0": c0,
-            "gamma": gamma,
-            "rho_m": rho_m,
-            "v_f": v_f,
-            "rho_star": rho_star,
-            "v_star": v_star,
-        },
-        system=system,
-        witness=witness,
-        domain_length=1.0,
-        raw_convection=convection,
-        raw_source=source,
-        transform=transform,
-        raw_witness=raw_witness,
-        data_cutoff=1,
-        profile=_arz_profile,
+    return _model(
+        "arz",
+        {"c0": c0, "gamma": gamma, "rho_m": rho_m, "v_f": v_f,
+         "rho_star": rho_star, "v_star": v_star},
+        convection, source, transform, 1.0, 1, _arz_profile,
+        np.array([[3.0, 2.0], [2.0, 4.0]]) if defaults else None,
     )
 
 
-def make_broadwell(epsilon: float = 1.0) -> ModelSpec:
+def make_broadwell() -> ModelSpec:
     """Linearized Broadwell gas in (density, momentum, energy-flux) variables.
 
     Linearization point is the Maxwellian with ``rho* = 2, m* = 0, z* = 1``.
@@ -168,38 +163,14 @@ def make_broadwell(epsilon: float = 1.0) -> ModelSpec:
         [0.0, 0.0, 0.0],
         [1.0, 0.0, -2.0],
     ])
-    transform = find_transform(source)
-    normal = transform_to_normal_form(convection, source, transform)
-    system = RelaxationSystem(
-        convection=normal.convection,
-        source=normal.source,
-        stiff_size=normal.stiff_size,
-        epsilon=epsilon,
-        domain_length=2.0 * math.pi,
-    )
-    witness = find_symmetrizer(system)
-    return ModelSpec(
-        name="broadwell",
-        parameters={
-            "rho_star": 2.0,
-            "m_star": 0.0,
-            "z_star": 1.0,
-            "a_rho": 0.3,
-            "a_u": 0.1,
-        },
-        system=system,
-        witness=witness,
-        domain_length=2.0 * math.pi,
-        raw_convection=convection,
-        raw_source=source,
-        transform=transform,
-        raw_witness=None,
-        data_cutoff=4,
-        profile=_broadwell_profile,
+    return _model(
+        "broadwell",
+        {"rho_star": 2.0, "m_star": 0.0, "z_star": 1.0, "a_rho": 0.3, "a_u": 0.1},
+        convection, source, find_transform(source), 2.0 * math.pi, 4, _broadwell_profile,
     )
 
 
-def make_grad(moments: int = 5, epsilon: float = 1.0) -> ModelSpec:
+def make_grad(moments: int = 5) -> ModelSpec:
     """Linearized Grad moment system with moments up to order ``moments``.
 
     The (M+1)-dimensional state stacks density, velocity, scaled temperature
@@ -210,31 +181,12 @@ def make_grad(moments: int = 5, epsilon: float = 1.0) -> ModelSpec:
     """
     if moments < 3:
         raise InvalidParameterError(f"moment count must be >= 3, got {moments}")
-    n = moments + 1
     off_diagonal = np.sqrt(np.arange(1.0, moments + 1.0))
     convection = np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
     source = -np.diag([0.0, 0.0, 0.0] + [1.0] * (moments - 2))
-    system = RelaxationSystem(
-        convection=convection,
-        source=source,
-        stiff_size=moments - 2,
-        epsilon=epsilon,
-        domain_length=2.0 * math.pi,
-    )
-    witness = StabilityWitness(np.eye(n), np.eye(n), stiff_size=moments - 2)
-    return ModelSpec(
-        name="grad",
-        parameters={"moments": float(moments)},
-        system=system,
-        witness=witness,
-        domain_length=2.0 * math.pi,
-        raw_convection=convection,
-        raw_source=source,
-        transform=np.eye(n),
-        raw_witness=witness,
-        data_cutoff=2,
-        profile=_grad_profile,
-    )
+    identity = np.eye(moments + 1)
+    return _model("grad", {"moments": float(moments)}, convection, source, identity,
+                  2.0 * math.pi, 2, _grad_profile, identity)
 
 
 MODEL_BUILDERS = {
@@ -244,8 +196,8 @@ MODEL_BUILDERS = {
 }
 
 
-def build_model(name: str, epsilon: float = 1.0, **overrides) -> ModelSpec:
-    """Construct a model by name with optional parameter overrides."""
+def build_model(name: str, **overrides) -> ModelSpec:
+    """Construct a model by name, at eps 1, with optional parameter overrides."""
     try:
         builder = MODEL_BUILDERS[name]
     except KeyError as exc:
@@ -253,11 +205,10 @@ def build_model(name: str, epsilon: float = 1.0, **overrides) -> ModelSpec:
             f"unknown model {name!r}; available: {sorted(MODEL_BUILDERS)}"
         ) from exc
     signature = inspect.signature(builder).parameters
-    parameters = [p for p in signature if p != "epsilon"]
-    unknown = sorted(set(overrides) - set(parameters))
+    unknown = sorted(set(overrides) - set(signature))
     if unknown:
         raise InvalidParameterError(
-            f"model {name!r} has no parameters {unknown}; its parameters are {parameters}"
+            f"model {name!r} has no parameters {unknown}; its parameters are {list(signature)}"
         )
     for key, value in overrides.items():
         kind = numbers.Integral if isinstance(signature[key].default, int) else numbers.Real
@@ -266,7 +217,7 @@ def build_model(name: str, epsilon: float = 1.0, **overrides) -> ModelSpec:
                 f"model {name!r} parameter {key!r} must be a finite "
                 f"{'integer' if kind is numbers.Integral else 'number'}, got {value!r}"
             )
-    return builder(epsilon=epsilon, **overrides)
+    return builder(**overrides)
 
 
 def _arz_profile(model: ModelSpec, q: int, cutoff: int, epsilon: float) -> np.ndarray:

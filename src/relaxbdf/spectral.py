@@ -184,18 +184,13 @@ def project(
     return SpectralField(coeffs, domain_length, real)
 
 
-def field_inner_product(u: SpectralField, v: SpectralField, weight=None) -> float:
+def field_inner_product(u: SpectralField, v: SpectralField, weight) -> float:
     """Integral of ``u^T W v`` over the period, via Parseval.
 
-    ``weight`` is an optional constant SPD matrix; identity when omitted.
-    For real-valued fields the result is the exact (real) weighted L2 inner
-    product.
+    ``weight`` is a constant SPD matrix.  For real-valued fields the result is
+    the exact (real) weighted L2 inner product.
     """
-    if not u.same_layout(v) or u.n != v.n:
+    if not u.same_layout(v):
         raise ValueError("fields must share (n, N, L)")
-    if weight is None:
-        pairing = np.sum(np.conj(u.coeffs) * v.coeffs)
-    else:
-        w = np.asarray(weight, dtype=float)
-        pairing = np.sum(np.conj(u.coeffs) * (v.coeffs @ w.T))
+    pairing = np.sum(np.conj(u.coeffs) * (v.coeffs @ np.asarray(weight, dtype=float).T))
     return float(u.domain_length * pairing.real)

@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 _NORMAL_FORM_TOL = 1e-12
+_SEARCH_TOL = 1e-10  # rank cuts and certificate tolerance of the two searches below
 
 
 class DimensionMismatchError(ValueError):
@@ -378,7 +379,7 @@ def transform_to_normal_form(convection, source, transform) -> TransformedSystem
     return TransformedSystem(new_conv, _snap_normal_form(new_src, r), r)
 
 
-def find_transform(source, tol: float = 1e-10) -> np.ndarray:
+def find_transform(source) -> np.ndarray:
     """Build a transform bringing ``source`` into normal form.
 
     The top rows span the left null space of the source (eigenvectors of
@@ -396,8 +397,8 @@ def find_transform(source, tol: float = 1e-10) -> np.ndarray:
     w_left, v_left = np.linalg.eigh(0.5 * (left_gram + left_gram.T))
     w_right, v_right = np.linalg.eigh(0.5 * (right_gram + right_gram.T))
     scale = max(float(w_right[-1]), np.finfo(float).tiny)
-    null_rows = [v_left[:, i] for i in range(n) if w_left[i] <= tol * scale]
-    range_rows = [v_right[:, i] for i in range(n) if w_right[i] > tol * scale]
+    null_rows = [v_left[:, i] for i in range(n) if w_left[i] <= _SEARCH_TOL * scale]
+    range_rows = [v_right[:, i] for i in range(n) if w_right[i] > _SEARCH_TOL * scale]
     if not range_rows:
         raise NotNormalFormError("source is (numerically) zero")
     if len(null_rows) + len(range_rows) != n:
@@ -438,7 +439,7 @@ def _block_diag_basis(n: int, r: int) -> list[np.ndarray]:
     return basis
 
 
-def _symmetrizer_solution_space(system: RelaxationSystem, tol: float = 1e-10) -> list[np.ndarray]:
+def _symmetrizer_solution_space(system: RelaxationSystem) -> list[np.ndarray]:
     """Basis of symmetric block-diagonal A0 with ``A0 A`` symmetric."""
     n = system.dimension
     conv = np.asarray(system.convection)
@@ -451,7 +452,7 @@ def _symmetrizer_solution_space(system: RelaxationSystem, tol: float = 1e-10) ->
     # The trailing rows of vt span the null space; an SVD of the constraint
     # itself keeps its conditioning (its Gram matrix would square it).
     _, singular, vt = np.linalg.svd(constraint)
-    rank = int(np.count_nonzero(singular > tol * max(np.max(singular, initial=0.0), 1.0)))
+    rank = int(np.count_nonzero(singular > _SEARCH_TOL * max(np.max(singular, initial=0.0), 1.0)))
     null_vectors = vt[rank:]
     space = []
     for vec in null_vectors:
@@ -461,7 +462,7 @@ def _symmetrizer_solution_space(system: RelaxationSystem, tol: float = 1e-10) ->
     return space
 
 
-def _integer_like_rescale(system: RelaxationSystem, witness_matrix: np.ndarray, tol: float):
+def _integer_like_rescale(system: RelaxationSystem, witness_matrix: np.ndarray):
     """Try small scalings that turn the symmetrizer into integer entries."""
     peak = np.abs(witness_matrix).max()
     for target in range(1, 17):
@@ -472,12 +473,12 @@ def _integer_like_rescale(system: RelaxationSystem, witness_matrix: np.ndarray, 
         witness = StabilityWitness(
             np.eye(system.dimension), rounded, stiff_size=system.stiff_size
         )
-        if check_structural_stability(system, witness, tol).passed:
+        if check_structural_stability(system, witness, _SEARCH_TOL).passed:
             return witness
     return None
 
 
-def find_symmetrizer(system: RelaxationSystem, tol: float = 1e-10) -> StabilityWitness:
+def find_symmetrizer(system: RelaxationSystem) -> StabilityWitness:
     """Search for a block-diagonal symmetrizer certifying a normal-form system.
 
     The symmetric block-diagonal candidates satisfying the linear constraint
@@ -489,7 +490,7 @@ def find_symmetrizer(system: RelaxationSystem, tol: float = 1e-10) -> StabilityW
     Only the scale of a direction is left free.  With ``P = I`` every check
     except the dissipation inequality (iii) is invariant under a positive
     scale ``c``, and (iii) reduces to ``2c A02 S + I <= 0``.  So a direction
-    whose ``A02 S`` is symmetric within ``tol`` with largest eigenvalue
+    whose ``A02 S`` is symmetric within ``_SEARCH_TOL`` with largest eigenvalue
     ``lam < 0`` is taken at ``c = -1/(2 lam)``; other directions are skipped.
     The first scaled direction that :func:`check_structural_stability`
     passes is returned, rescaled to integer entries when a small integer
@@ -498,7 +499,6 @@ def find_symmetrizer(system: RelaxationSystem, tol: float = 1e-10) -> StabilityW
     Raises ``SymmetrizerNotFoundError`` with the number of directions scanned
     when none passes.
     """
-    _check_positive("tol", tol)
     space = _symmetrizer_solution_space(system)
     if not space:
         raise SymmetrizerNotFoundError("constraint A0*A = A^T*A0 admits only A0 = 0")
@@ -517,14 +517,15 @@ def find_symmetrizer(system: RelaxationSystem, tol: float = 1e-10) -> StabilityW
         scanned += 1
         direction = sum(c * mat for c, mat in zip(combo, space))
         coupling = _eigenvalue_check(
-            direction[bulk:, bulk:] @ system.stiff_block, tol, largest=True, bound=0.0, name="A02*S_hat"
+            direction[bulk:, bulk:] @ system.stiff_block, _SEARCH_TOL, largest=True, bound=0.0,
+            name="A02*S_hat",
         )
         if not (coupling.passed and coupling.value < 0.0):
             continue
         candidate = direction * (-0.5 / coupling.value)
         witness = StabilityWitness(ident, candidate, stiff_size=system.stiff_size)
-        if check_structural_stability(system, witness, tol).passed:
-            return _integer_like_rescale(system, candidate, tol) or witness
+        if check_structural_stability(system, witness, _SEARCH_TOL).passed:
+            return _integer_like_rescale(system, candidate) or witness
     raise SymmetrizerNotFoundError(f"no witness among {scanned} directions")
 
 

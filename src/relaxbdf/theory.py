@@ -242,14 +242,13 @@ def truncation_residual(
     exact: Callable[[float], SpectralField],
     coeffs: BDFCoefficients,
     dt: float,
-    t_start: float = 0.0,
 ) -> float:
     """L2 norm of the one-step defect of the scheme on an exact trajectory.
 
-    ``exact`` must supply the solution at ``t_start + i*dt`` for i = 0..q; the
-    returned norm scales like dt^(q+1) for smooth-in-time solutions.
+    ``exact`` must supply the solution at ``i*dt`` for i = 0..q; the returned
+    norm scales like dt^(q+1) for smooth-in-time solutions.
     """
-    fields = [exact(t_start + i * dt) for i in range(coeffs.q + 1)]
+    fields = [exact(i * dt) for i in range(coeffs.q + 1)]
     first = fields[0]
     ikappa = (1j * first.wavenumbers)[:, np.newaxis]
     residual = coeffs.alpha[0] * np.asarray(fields[0].coeffs)

@@ -24,7 +24,7 @@ class TestCheckStability:
 
 
 def test_model_choices_follow_the_registry(monkeypatch):
-    monkeypatch.setitem(MODEL_BUILDERS, "grad3", lambda epsilon=1.0: make_grad(3, epsilon))
+    monkeypatch.setitem(MODEL_BUILDERS, "grad3", lambda: make_grad(3))
     parser = _build_parser()
     for name in MODEL_BUILDERS:
         assert parser.parse_args(["run", "--model", name]).model == name

@@ -21,7 +21,7 @@ from relaxbdf.harness import (
     run_convergence_study,
 )
 from relaxbdf.integrator import NonIntegerStepCountError, UnsupportedOrderError, run
-from relaxbdf.models import build_model, initial_data
+from relaxbdf.models import InvalidParameterError, build_model, initial_data
 from relaxbdf.oracle import exact_evolve, fine_step_reference, mode_matrix
 from relaxbdf.spectral import SpectralField, zero_field
 
@@ -171,6 +171,26 @@ class TestConfig:
                                                        f"string, got {value!r}")):
             small_config(**{key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("order", 2.9), ("order", True), ("order", "two"), ("order", "2.0"),
+        ("modes", 100.7), ("modes", False), ("modes", "8.5"), ("modes", None),
+    ])
+    def test_from_json_rejects_non_integer_order_or_modes(self, key, value):
+        doc = {"model": "grad", "order": 2, "epsilons": [1.0], "dts": ["1/20"], "t_final": 1,
+               key: value}
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {value!r}")):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    def test_direct_fractional_modes_rejected_before_any_cell(self):
+        with pytest.raises(ValueError, match="modes must be an integer, got 8.5"):
+            small_config(modes=8.5)
+
+    @pytest.mark.parametrize("value", [16, "16", 16.0, np.int64(16)],
+                             ids=["int", "str", "float", "int64"])
+    def test_integer_modes_parse_to_int(self, value):
+        modes = small_config(modes=value).modes
+        assert modes == 16 and type(modes) is int
+
     def test_bad_norm(self):
         with pytest.raises(ValueError):
             small_config(error_norm="sup")
@@ -275,6 +295,15 @@ class TestStudy:
     def test_modes_must_cover_data(self):
         with pytest.raises(ValueError):
             run_convergence_study(small_config(model="broadwell", modes=3))
+
+    def test_epsilon_override_is_rejected(self):
+        # The config's epsilons set eps; an override of it is not a model parameter.
+        config = ExperimentConfig.from_json(
+            {"model": "arz", "order": 2, "epsilons": [1e-3], "dts": ["1/20"], "t_final": 1,
+             "overrides": {"epsilon": 1e-6}}
+        )
+        with pytest.raises(InvalidParameterError, match=r"no parameters \['epsilon'\]"):
+            run_convergence_study(config)
 
     @pytest.mark.skipif(
         not os.environ.get("RELAXBDF_SLOW"),

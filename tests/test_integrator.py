@@ -155,6 +155,15 @@ class TestStep:
             stepped = imex_bdf_step(state, system, coeffs)
         assert np.array_equal(stepped.mode(0)[:2], conserved_before)
 
+    def test_states_compare_by_identity(self):
+        model = build_model("arz")
+        system = model.system_at(1e-2)
+        u0 = initial_data(model, 2, 8, 1e-2)
+        coeffs = bdf_coefficients(2)
+        state, other = (make_solver_state([u0, u0], system, coeffs, dt=1e-2) for _ in range(2))
+        assert state == state
+        assert state != other
+
     def test_implicit_solve_with_nonsymmetric_source(self):
         # Backward-Euler step checked against a direct per-mode solve; the
         # stiff block is not symmetric, so a transposed inverse would show.

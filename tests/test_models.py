@@ -143,6 +143,16 @@ class TestRegistry:
         with pytest.raises(InvalidParameterError, match=message):
             build_model(name, **overrides)
 
+    @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
+    def test_epsilon_is_not_a_build_parameter(self, name):
+        # Models are built at eps = 1; system_at sets eps.
+        with pytest.raises(InvalidParameterError, match=r"no parameters \['epsilon'\]"):
+            build_model(name, epsilon=1e-3)
+        model = build_model(name)
+        assert model.system.epsilon == 1.0
+        assert model.system_at(1e-3).epsilon == 1e-3
+        assert model.domain_length == model.system.domain_length
+
     def test_numeric_overrides_of_any_numeric_type_accepted(self):
         assert build_model("grad", moments=np.int64(4)).system.dimension == 5
         assert build_model("arz", c0=2).parameters["c0"] == 2
