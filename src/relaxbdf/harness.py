@@ -12,6 +12,7 @@ as CSV or Markdown.
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
 import math
@@ -20,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .integrator import _integer_step_count, _startup_divisor, bdf_coefficients, run
 from .linalg import _check_positive
-from .models import ModelSpec, build_model, initial_data
+from .models import MODEL_BUILDERS, ModelSpec, build_model, initial_data
 from .oracle import exact_evolve, fine_step_reference
 from .spectral import SpectralField
 from .system import _parse_number
@@ -211,6 +212,21 @@ def _reference_field(
     )
 
 
+def _check_model(config: ExperimentConfig, model: ModelSpec) -> None:
+    """Raise ``ValueError`` unless ``model`` is the model ``config`` builds:
+    its name, and each builder parameter at the config's override or else at
+    the builder's default."""
+    if model.name != config.model:
+        raise ValueError(f"config is for model {config.model!r}, got model {model.name!r}")
+    signature = inspect.signature(MODEL_BUILDERS[model.name]).parameters
+    expected = {name: parameter.default for name, parameter in signature.items()}
+    expected.update(config.overrides)
+    differ = [f"{name}={model.parameters.get(name)!r} (config {value!r})"
+              for name, value in expected.items() if model.parameters.get(name) != value]
+    if differ:
+        raise ValueError(f"model {model.name!r} differs from its config: {', '.join(differ)}")
+
+
 def run_convergence_study(
     config: ExperimentConfig, model: ModelSpec | None = None
 ) -> ConvergenceTable:
@@ -221,10 +237,13 @@ def run_convergence_study(
     computes its reference after its cells; a failing reference marks every
     row of its block.  The rows come in config order.  An order the model's
     initial data does not define raises ``UnsupportedOrderError`` before the
-    first block.  Output is deterministic for identical configs.
+    first block.  A ``model`` passed in must be the one the config builds,
+    else ``ValueError``.  Output is deterministic for identical configs.
     """
     if model is None:
         model = build_model(config.model, **config.overrides)
+    else:
+        _check_model(config, model)
     if config.modes < model.data_cutoff:
         raise ValueError(
             f"modes={config.modes} cannot represent initial data with cutoff {model.data_cutoff}"
@@ -232,10 +251,13 @@ def run_convergence_study(
     # An order the initial data does not define would fail every block alike.
     model.profile(model, config.order, model.data_cutoff, config.epsilons[0])
     error_metric = grid_error if config.error_norm == "grid" else compute_error
-    max_kappa = 2.0 * math.pi * config.modes / model.domain_length
-    if any(dt * max_kappa ** 2 > 1.0 for dt in config.dts):
+    # Only the data's modes evolve; every other mode stays exactly zero.
+    kappa = 2.0 * math.pi * model.data_cutoff / model.domain_length
+    over = [f"{dt:g}" for dt in config.dts if dt * kappa ** 2 > 1.0]
+    if over:
         logger.warning(
-            "some dt exceed the sufficient stability bound 1/N^2; proceeding anyway"
+            "dt %s exceed the sufficient stability bound 1/kappa^2 = %.3g of the data's "
+            "modes; proceeding anyway", ", ".join(over), 1.0 / kappa ** 2,
         )
     rows: list[TableRow] = []
     for epsilon in config.epsilons:

@@ -3,13 +3,15 @@
 Everything downstream (implicit solves, stability certificates, per-mode
 propagators) works with constant matrices of size n <= ~16, so this module
 implements two kernels directly: a partial-pivoting LU and a
-scaling-and-squaring matrix exponential.  The LU stays hand-written because
-the exponential solves in long double on deep squaring chains, a dtype
-``numpy.linalg`` rejects.  The definiteness checks of the stability
-certificate (``is_spd``, ``is_negative_semidefinite``) take
-``numpy.linalg.eigvalsh`` of the symmetric part and report a
-:class:`ConditionCheck`.  All routines are deterministic and operate on
-plain ``numpy`` arrays.
+scaling-and-squaring matrix exponential.  The LU has two callers, each a
+solve ``numpy.linalg`` cannot do: the exponential's Pade solve, which runs
+in long double on deep squaring chains (a dtype ``numpy.linalg`` rejects),
+and the integrator's stiff-block inverse, whose singularity check reads
+the pivots.  Every other inverse uses ``numpy.linalg``.  The definiteness
+checks of the stability certificate (``is_spd``,
+``is_negative_semidefinite``) take ``numpy.linalg.eigvalsh`` of the
+symmetric part and report a :class:`ConditionCheck`.  All routines are
+deterministic and operate on plain ``numpy`` arrays.
 
 The LU and the exponential also take a stack of matrices ``(K, n, n)``, a
 single matrix being a stack of one, and treat every slice exactly as they
@@ -31,14 +33,13 @@ __all__ = [
     "LUFactorization",
     "validate_matrix",
     "lu_factor",
-    "inverse",
     "matrix_exponential",
     "is_spd",
     "is_negative_semidefinite",
 ]
 
-# Pivots smaller than this (relative to the largest input entry) are treated
-# as singular.
+# Pivots at most this times the largest input entry, and singular values at
+# most this times the largest one (``system``), are treated as singular.
 PIVOT_RTOL = 1e-14
 
 # Squaring depth above which the exponential is reported rather than computed.
@@ -93,10 +94,6 @@ class LUFactorization:
     packed: np.ndarray
     row_order: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.packed.shape[-1]
-
     def solve(self, rhs) -> np.ndarray:
         """Solve ``A x = rhs`` for one right-hand side or a matrix of them.
 
@@ -118,7 +115,7 @@ class LUFactorization:
             )
         dtype = np.result_type(lu.dtype, b.dtype)
         x = np.take_along_axis(b, order[..., np.newaxis], axis=1).astype(dtype)
-        n = self.size
+        n = lu.shape[-1]
         for i in range(1, n):
             x[:, i] -= (lu[:, i, np.newaxis, :i] @ x[:, :i])[:, 0]
         for i in range(n - 1, -1, -1):
@@ -164,12 +161,6 @@ def lu_factor(matrix) -> LUFactorization:
     if not stacked:
         return LUFactorization(packed=a[0], row_order=order[0])
     return LUFactorization(packed=a, row_order=order)
-
-
-def inverse(matrix) -> np.ndarray:
-    """Matrix inverse via LU; intended for tiny, well-conditioned matrices."""
-    fac = lu_factor(matrix)
-    return fac.solve(np.eye(fac.size, dtype=fac.packed.dtype))
 
 
 # Pade(13,13) numerator coefficients for the exponential kernel.

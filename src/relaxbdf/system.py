@@ -16,6 +16,10 @@ is reported as a :class:`ConditionCheck`.  The three definiteness questions
 (``A0`` SPD, (iii) and ``A02 * S_hat``) check symmetry within ``tol`` and
 then take ``numpy.linalg.eigvalsh`` of the symmetric part; their ``value``
 is the deciding eigenvalue, or the asymmetry when that check fails.
+Invertibility is judged by singular values: a transform or a stiff block is
+singular when its smallest singular value is at most ``PIVOT_RTOL`` times
+its largest, and (i) needs the stiff block's smallest one above
+``tol * max(1, |Q|)``.  Inverses are ``numpy.linalg.inv``.
 
 :func:`find_symmetrizer` builds witnesses with ``P = I`` for normal-form
 systems.  It scans directions of the symmetric block-diagonal ``A0`` with
@@ -37,14 +41,12 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .linalg import (
+    PIVOT_RTOL,
     ConditionCheck,
-    SingularMatrixError,
     _check_positive,
     _eigenvalue_check,
-    inverse,
     is_negative_semidefinite,
     is_spd,
-    lu_factor,
     symmetry_residual,
     validate_matrix,
 )
@@ -86,18 +88,24 @@ class SymmetrizerNotFoundError(RuntimeError):
     """The symmetrizer search exhausted its budget without a valid witness."""
 
 
-def _stiff_projector(n: int, r: int) -> np.ndarray:
-    proj = np.zeros((n, n))
-    proj[n - r:, n - r:] = np.eye(r)
-    return proj
-
-
 def _off_block_residual(source: np.ndarray, r: int) -> float:
     n = source.shape[0]
     bulk = n - r
     masked = source.copy()
     masked[bulk:, bulk:] = 0.0
     return float(np.abs(masked).max()) if masked.size else 0.0
+
+
+def _require_invertible(matrix: np.ndarray, error: type[ValueError], name: str) -> None:
+    """Raise ``error`` when the smallest singular value of ``matrix`` is at
+    most ``PIVOT_RTOL`` times its largest."""
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    threshold = PIVOT_RTOL * singular[0]
+    if not singular[-1] > threshold:
+        raise error(
+            f"{name} is singular: smallest singular value {singular[-1]:.3e}"
+            f" at most threshold {threshold:.3e}"
+        )
 
 
 def _snap_normal_form(source: np.ndarray, r: int) -> np.ndarray:
@@ -116,10 +124,7 @@ def _snap_normal_form(source: np.ndarray, r: int) -> np.ndarray:
     bulk = source.shape[0] - r
     cleaned = np.zeros_like(source)
     cleaned[bulk:, bulk:] = source[bulk:, bulk:]
-    try:
-        lu_factor(cleaned[bulk:, bulk:])
-    except SingularMatrixError as exc:
-        raise NotNormalFormError(f"stiff block is singular: {exc}") from exc
+    _require_invertible(cleaned[bulk:, bulk:], NotNormalFormError, "stiff block")
     return cleaned
 
 
@@ -185,10 +190,7 @@ class StabilityWitness:
             raise DimensionMismatchError(f"transform {p.shape} vs symmetrizer {a0.shape}")
         if not 0 < self.stiff_size <= p.shape[0]:
             raise ValueError(f"stiff_size out of range for dimension {p.shape[0]}")
-        try:
-            lu_factor(p)
-        except SingularMatrixError as exc:
-            raise SingularTransformError(f"transform is singular: {exc}") from exc
+        _require_invertible(p, SingularTransformError, "transform")
         p.setflags(write=False)
         a0.setflags(write=False)
         object.__setattr__(self, "transform", p)
@@ -200,8 +202,19 @@ class StabilityWitness:
 
     def normal_form_symmetrizer(self) -> np.ndarray:
         """The symmetrizer seen by the transformed system: ``P^-T A0 P^-1``."""
-        p_inv = inverse(self.transform)
+        p_inv = np.linalg.inv(self.transform)
         return p_inv.T @ self.symmetrizer @ p_inv
+
+
+# The six conditions of a certificate: (report field, summary label).
+_CONDITIONS = (
+    ("normal_form", "(i) source normal form / stiff block invertible"),
+    ("symmetrizer_spd", "(ii) symmetrizer SPD"),
+    ("convection_symmetry", "(ii) A0*A symmetry"),
+    ("dissipation", "(iii) dissipation inequality"),
+    ("block_structure", "transformed symmetrizer block-diagonal"),
+    ("stiff_coupling", "A02*S_hat symmetric negative-definite"),
+)
 
 
 @dataclass(frozen=True)
@@ -218,28 +231,12 @@ class CertificateReport:
 
     @property
     def passed(self) -> bool:
-        return all(
-            (
-                self.normal_form.passed,
-                self.symmetrizer_spd.passed,
-                self.convection_symmetry.passed,
-                self.dissipation.passed,
-                self.block_structure.passed,
-                self.stiff_coupling.passed,
-            )
-        )
+        return all(getattr(self, name).passed for name, _ in _CONDITIONS)
 
     def summary(self) -> str:
         lines = [f"structural stability certificate (tol={self.tol:.1e})"]
-        labels = [
-            ("(i) source normal form / stiff block invertible", self.normal_form),
-            ("(ii) symmetrizer SPD", self.symmetrizer_spd),
-            ("(ii) A0*A symmetry", self.convection_symmetry),
-            ("(iii) dissipation inequality", self.dissipation),
-            ("transformed symmetrizer block-diagonal", self.block_structure),
-            ("A02*S_hat symmetric negative-definite", self.stiff_coupling),
-        ]
-        for label, check in labels:
+        for name, label in _CONDITIONS:
+            check = getattr(self, name)
             status = "PASS" if check.passed else "FAIL"
             lines.append(f"  [{status}] {label}: {check.value:.3e} ({check.detail})")
         lines.append("  overall: " + ("PASS" if self.passed else "FAIL"))
@@ -281,18 +278,12 @@ def check_structural_stability(system, witness: StabilityWitness, tol: float = 1
 
     # (i): P Q P^-1 in normal form with invertible stiff block.  Invertibility
     # is judged against the certificate tolerance, not just machine scale.
-    transformed_source = transform @ src @ inverse(transform)
+    transformed_source = transform @ src @ np.linalg.inv(transform)
     off_residual = _off_block_residual(transformed_source, r)
     stiff_block = transformed_source[bulk:, bulk:]
-    try:
-        pivots = np.abs(np.diag(lu_factor(stiff_block).packed))
-        stiff_ok = bool(pivots.min() > tol * max(1.0, float(np.abs(src).max())))
-        stiff_detail = (
-            "stiff block invertible" if stiff_ok else f"smallest pivot {pivots.min():.3e}"
-        )
-    except SingularMatrixError as exc:
-        stiff_ok = False
-        stiff_detail = f"stiff block singular: {exc}"
+    smallest = float(np.linalg.svd(stiff_block, compute_uv=False)[-1])
+    stiff_ok = smallest > tol * max(1.0, float(np.abs(src).max()))
+    stiff_detail = "stiff block invertible" if stiff_ok else f"smallest singular value {smallest:.3e}"
     normal_form = ConditionCheck(
         off_residual <= tol and stiff_ok, off_residual, f"off-block residual; {stiff_detail}"
     )
@@ -302,8 +293,8 @@ def check_structural_stability(system, witness: StabilityWitness, tol: float = 1
     sym_residual = symmetry_residual(symmetrizer @ conv)
     convection_symmetry = ConditionCheck(sym_residual <= tol, sym_residual, "A0*A asymmetry")
 
-    # (iii): A0 Q + Q^T A0 + P^T diag(0, I_r) P <= 0.
-    coupling = symmetrizer @ src + src.T @ symmetrizer + transform.T @ _stiff_projector(n, r) @ transform
+    # (iii): A0 Q + Q^T A0 + P^T diag(0, I_r) P <= 0, the last term from P's stiff rows.
+    coupling = symmetrizer @ src + src.T @ symmetrizer + transform[bulk:].T @ transform[bulk:]
     dissipation = is_negative_semidefinite(coupling, max(tol, 1e-12))
 
     # Transformed symmetrizer must be block diagonal; its stiff block couples
@@ -367,10 +358,8 @@ def transform_to_normal_form(convection, source, transform) -> TransformedSystem
     p = validate_matrix(transform, name="transform")
     if conv.shape != src.shape or conv.shape != p.shape or conv.ndim != 2:
         raise DimensionMismatchError("convection, source and transform must share one matrix shape")
-    try:
-        p_inv = inverse(p)
-    except SingularMatrixError as exc:
-        raise SingularTransformError(f"transform is singular: {exc}") from exc
+    _require_invertible(p, SingularTransformError, "transform")
+    p_inv = np.linalg.inv(p)
     new_conv = p @ conv @ p_inv
     new_src = p @ src @ p_inv
     r = _infer_stiff_size(new_src, _NORMAL_FORM_TOL)

@@ -102,22 +102,15 @@ def multiplier_data(q: int) -> MultiplierData:
     raise UnsupportedOrderError(f"multiplier coefficients are transcribed for q=1,2 only, got {q}")
 
 
-def _pairings(block: np.ndarray, weight: np.ndarray | None) -> np.ndarray:
-    """Gram tensor ``(samples, m, m)`` of the tuple entries under the weight."""
-    if weight is None:
-        return np.einsum("smi,sli->sml", block, block)
-    return np.einsum("smi,il,sol->smo", block, weight, block)
-
-
 def _identity_residuals(
     data: MultiplierData,
     coeffs: BDFCoefficients,
     tuples: np.ndarray,
-    weight: np.ndarray | None,
+    weight: np.ndarray,
 ) -> float:
     """Max residual of both identities on a batch of (q+1)-tuples of vectors."""
     q = data.q
-    gram = _pairings(tuples, weight)  # pairings of u_0..u_q
+    gram = np.einsum("smi,il,sol->smo", tuples, weight, tuples)  # pairings of u_0..u_q
 
     def form(grid: np.ndarray, offset: int) -> np.ndarray:
         m = grid.shape[0]
@@ -135,8 +128,6 @@ def _identity_residuals(
     square_arg = multiplier - data.extrapolation_weight * gamma_sum
 
     def pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if weight is None:
-            return np.einsum("sd,sd->s", u, v)
         return np.einsum("sd,de,se->s", u, weight, v)
 
     lhs1 = pair(multiplier, alpha_sum)
@@ -180,7 +171,7 @@ def verify_multiplier_identity(
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(0) if rng is None else rng
     scalar_tuples = rng.uniform(-1.0, 1.0, size=(samples, data.q + 1, 1))
-    worst = _identity_residuals(data, coeffs, scalar_tuples, None)
+    worst = _identity_residuals(data, coeffs, scalar_tuples, np.eye(1))
     batches = 8
     per_batch = max(1, samples // batches)
     for _ in range(batches):

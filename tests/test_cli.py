@@ -287,15 +287,17 @@ def package_logger():
 
 
 class TestLogLevel:
-    # dt=1/20 exceeds the 1/N^2 step bound at N=8: the harness warns.
-    ARGV = ["run", "--model", "grad", "--order", "2", "--eps", "1", "--dt", "1/20",
+    # dt=1/2 exceeds the step bound 1/kappa^2 = 1/4 of Grad's data modes
+    # (|k| <= 2 on [0, 2 pi]): the harness warns.
+    ARGV = ["run", "--model", "grad", "--order", "2", "--eps", "1", "--dt", "1/2",
             "--modes", "8", "--tfinal", "1", "--startup", "exact"]
+    NOTICE = "dt 0.5 exceed the sufficient stability bound 1/kappa^2 = 0.25"
 
     def test_error_level_silences_the_step_bound_notice(self, package_logger, capsys):
         assert main(self.ARGV + ["--log-level", "warning"]) == 0
-        assert capsys.readouterr().err.count("1/N^2") == 1
+        assert capsys.readouterr().err.count(self.NOTICE) == 1
         assert main(self.ARGV + ["--log-level", "error"]) == 0
-        assert "1/N^2" not in capsys.readouterr().err
+        assert "stability bound" not in capsys.readouterr().err
 
     def test_failed_cell_is_logged_once(self, package_logger, capsys):
         # dt=0.5 is far past the stability bound at N=100: the run overflows.

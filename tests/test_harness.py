@@ -305,6 +305,37 @@ class TestStudy:
         with pytest.raises(InvalidParameterError, match=r"no parameters \['epsilon'\]"):
             run_convergence_study(config)
 
+    @pytest.mark.parametrize("name, overrides, match", [
+        ("grad", {}, "config is for model 'arz', got model 'grad'"),
+        ("arz", {"c0": 2.0}, r"model 'arz' differs from its config: c0=2\.0 \(config 1\.5\)"),
+    ], ids=["other-model", "other-parameter"])
+    def test_model_must_be_the_configs_model(self, name, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            run_convergence_study(small_config(model="arz"), build_model(name, **overrides))
+
+    def test_configs_own_model_may_be_passed(self):
+        config = small_config(model="grad", overrides={"moments": 8})
+        assert run_convergence_study(config, build_model("grad", moments=8)) == \
+            run_convergence_study(config)
+        with pytest.raises(ValueError, match=r"moments=5\.0 \(config 8\)"):
+            run_convergence_study(config, build_model("grad"))
+
+    def test_acceptance_table_config_logs_no_step_bound_notice(self, caplog):
+        # ARZ's data carries |k| <= 1 on [0, 1]: dt kappa^2 = 0.056 at dt = 1/700.
+        config = small_config(model="arz", epsilons=(1.0,), dts=(1 / 700, 1 / 1400),
+                              modes=100)
+        with caplog.at_level(logging.WARNING, logger="relaxbdf.harness"):
+            run_convergence_study(config)
+        assert not caplog.records
+
+    def test_step_bound_notice_names_the_dts_over_it(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="relaxbdf.harness"):
+            run_convergence_study(small_config(model="arz", dts=(1 / 10, 1 / 20, 1 / 40)))
+        [record] = caplog.records
+        assert record.getMessage().startswith(
+            "dt 0.1, 0.05 exceed the sufficient stability bound 1/kappa^2 = 0.0253"
+        )
+
     @pytest.mark.skipif(
         not os.environ.get("RELAXBDF_SLOW"),
         reason="exhaustive fine-step references take minutes; set RELAXBDF_SLOW=1",

@@ -7,7 +7,6 @@ from relaxbdf.linalg import (
     SingularMatrixError,
     is_negative_semidefinite,
     is_spd,
-    inverse,
     lu_factor,
     matrix_exponential,
     validate_matrix,
@@ -67,11 +66,6 @@ class TestLuSolve:
         permuted = a[fac.row_order]
         rel = np.linalg.norm(reconstructed - permuted) / np.linalg.norm(a)
         assert rel <= 1e-12
-
-    def test_inverse(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-        assert np.abs(a @ inverse(a) - np.eye(4)).max() < 1e-12
 
     @pytest.mark.parametrize("dtype", [float, complex, np.longdouble, np.clongdouble])
     def test_stack_matches_single_factorizations(self, dtype):
