@@ -32,7 +32,6 @@ from .system import (
     StabilityWitness,
     check_structural_stability,
     find_symmetrizer,
-    find_transform,
     system_from_json,
     system_to_json,
     transform_to_normal_form,
@@ -65,7 +64,6 @@ __all__ = [
     "emit_table",
     "exact_evolve",
     "find_symmetrizer",
-    "find_transform",
     "fine_step_reference",
     "fit_order",
     "grid_error",

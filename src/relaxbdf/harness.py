@@ -147,9 +147,8 @@ def _parse_reference(spec: str) -> tuple[str, float]:
     if spec == "exact":
         return "exact", 0.0
     if spec.startswith("fine:"):
-        dt_ref = _parse_number(spec.split(":", 1)[1])
-        if dt_ref <= 0.0:
-            raise ValueError("reference step must be positive")
+        dt_ref = _number("reference step", spec.split(":", 1)[1])
+        _check_positive("reference step", dt_ref)
         return "fine", dt_ref
     raise ValueError(f"reference must be 'exact' or 'fine:<dt>', got {spec!r}")
 

@@ -95,10 +95,10 @@ class LUFactorization:
     row_order: np.ndarray
 
     def solve(self, rhs) -> np.ndarray:
-        """Solve ``A x = rhs`` for one right-hand side or a matrix of them.
+        """Solve ``A X = rhs`` for a matrix of right-hand sides ``(n, m)``.
 
-        A stacked factorization takes a stack of either, ``(K, n)`` or
-        ``(K, n, m)``, and solves each slice with its own factors.
+        A stacked factorization takes a stack of them, ``(K, n, m)``, and
+        solves each slice with its own factors.
         """
         stacked = self.packed.ndim == 3
         lu = self.packed if stacked else self.packed[np.newaxis]
@@ -106,9 +106,6 @@ class LUFactorization:
         b = np.asarray(rhs)
         if not stacked:
             b = b[np.newaxis]
-        vector_input = b.ndim == 2
-        if vector_input:
-            b = b[..., np.newaxis]
         if b.ndim != 3 or b.shape[:2] != order.shape:
             raise ValueError(
                 f"rhs of shape {np.shape(rhs)} does not match factors of shape {self.packed.shape}"
@@ -122,8 +119,6 @@ class LUFactorization:
             if i < n - 1:
                 x[:, i] -= (lu[:, i, np.newaxis, i + 1:] @ x[:, i + 1:])[:, 0]
             x[:, i] /= lu[:, i, i, np.newaxis]
-        if vector_input:
-            x = x[..., 0]
         return x if stacked else x[0]
 
 

@@ -29,13 +29,7 @@ import numpy as np
 from .integrator import UnsupportedOrderError
 from .linalg import _check_positive
 from .spectral import SpectralField, project
-from .system import (
-    RelaxationSystem,
-    StabilityWitness,
-    find_symmetrizer,
-    find_transform,
-    transform_to_normal_form,
-)
+from .system import RelaxationSystem, StabilityWitness, find_symmetrizer, transform_to_normal_form
 
 __all__ = [
     "InvalidParameterError",
@@ -150,8 +144,8 @@ def make_broadwell() -> ModelSpec:
 
     Linearization point is the Maxwellian with ``rho* = 2, m* = 0, z* = 1``.
     The source is not block diagonal in these variables; the normal-form
-    transform is built from the source's eigenstructure and the witness from
-    the symmetrizer search (then verified).
+    transform below brings it there, and the witness comes from the
+    symmetrizer search (then verified).
     """
     convection = np.array([
         [0.0, 1.0, 0.0],
@@ -163,10 +157,16 @@ def make_broadwell() -> ModelSpec:
         [0.0, 0.0, 0.0],
         [1.0, 0.0, -2.0],
     ])
+    # Rows: the null rows of the source (rho, m), then its row space (z - rho/2).
+    transform = np.array([
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [-0.5, 0.0, 1.0],
+    ])
     return _model(
         "broadwell",
         {"rho_star": 2.0, "m_star": 0.0, "z_star": 1.0, "a_rho": 0.3, "a_u": 0.1},
-        convection, source, find_transform(source), 2.0 * math.pi, 4, _broadwell_profile,
+        convection, source, transform, 2.0 * math.pi, 4, _broadwell_profile,
     )
 
 

@@ -53,7 +53,7 @@ class SpectralField:
         Spatial period ``L``.
     real_valued : bool
         Marks fields with conjugate symmetry ``u_hat[-k] = conj(u_hat[k])``;
-        the symmetry is asserted on construction (debug builds only).
+        the symmetry is asserted on construction.
     """
 
     coeffs: np.ndarray
@@ -70,7 +70,7 @@ class SpectralField:
             raise ValueError("coefficients contain non-finite entries")
         if not self.domain_length > 0.0:
             raise ValueError("domain_length must be positive")
-        if self.real_valued and __debug__:
+        if self.real_valued:
             _check_conjugate_symmetry(arr)
         arr = arr.copy()
         arr.setflags(write=False)

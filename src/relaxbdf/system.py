@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -62,14 +63,13 @@ __all__ = [
     "CertificateReport",
     "check_structural_stability",
     "transform_to_normal_form",
-    "find_transform",
     "find_symmetrizer",
     "system_to_json",
     "system_from_json",
 ]
 
 _NORMAL_FORM_TOL = 1e-12
-_SEARCH_TOL = 1e-10  # rank cuts and certificate tolerance of the two searches below
+_SEARCH_TOL = 1e-10  # rank cut and certificate tolerance of the symmetrizer search
 
 
 class DimensionMismatchError(ValueError):
@@ -149,8 +149,7 @@ class RelaxationSystem:
         if not 0 < self.stiff_size <= n:
             raise ValueError(f"stiff_size must be in (0, {n}], got {self.stiff_size}")
         _check_positive("epsilon", self.epsilon)
-        if not self.domain_length > 0.0:
-            raise ValueError("domain_length must be positive")
+        _check_positive("domain_length", self.domain_length)
         cleaned = _snap_normal_form(src, self.stiff_size)
         conv.setflags(write=False)
         cleaned.setflags(write=False)
@@ -368,46 +367,6 @@ def transform_to_normal_form(convection, source, transform) -> TransformedSystem
     return TransformedSystem(new_conv, _snap_normal_form(new_src, r), r)
 
 
-def find_transform(source) -> np.ndarray:
-    """Build a transform bringing ``source`` into normal form.
-
-    The top rows span the left null space of the source (eigenvectors of
-    ``Q Q^T`` at eigenvalue 0) and the bottom rows span its row space
-    (eigenvectors of ``Q^T Q`` at nonzero eigenvalues).  Each row is rescaled
-    by its largest-magnitude entry for readability.  The rows, in this order,
-    define the normal-form variables of the Broadwell model, so they stay on
-    ``eigh`` (an SVD orders a degenerate null space differently).  Fails with
-    ``NotNormalFormError`` when the source has a nilpotent part.
-    """
-    src = validate_matrix(source, stack=False, name="source")
-    n = src.shape[0]
-    left_gram = src @ src.T
-    right_gram = src.T @ src
-    w_left, v_left = np.linalg.eigh(0.5 * (left_gram + left_gram.T))
-    w_right, v_right = np.linalg.eigh(0.5 * (right_gram + right_gram.T))
-    scale = max(float(w_right[-1]), np.finfo(float).tiny)
-    null_rows = [v_left[:, i] for i in range(n) if w_left[i] <= _SEARCH_TOL * scale]
-    range_rows = [v_right[:, i] for i in range(n) if w_right[i] > _SEARCH_TOL * scale]
-    if not range_rows:
-        raise NotNormalFormError("source is (numerically) zero")
-    if len(null_rows) + len(range_rows) != n:
-        raise NotNormalFormError("rank mismatch between left and right null spaces")
-    rows = []
-    for vec in null_rows + range_rows:
-        anchor = vec[np.argmax(np.abs(vec))]
-        rows.append(vec / anchor)
-    p = np.array(rows)
-    # A nilpotent part makes the null and range rows overlap or leaves the
-    # transformed source off the block form; verify now.
-    try:
-        transform_to_normal_form(np.zeros_like(src), src, p)
-    except SingularTransformError as exc:
-        raise NotNormalFormError(
-            f"source has a nilpotent part; no similarity to a block form: {exc}"
-        ) from exc
-    return p
-
-
 # -- symmetrizer search -----------------------------------------------------
 
 _SEARCH_TICKS = np.arange(-2.0, 2.125, 0.25)
@@ -522,10 +481,15 @@ def find_symmetrizer(system: RelaxationSystem) -> StabilityWitness:
 
 
 def _parse_number(value) -> float:
-    """Accept plain numbers or exact decimal/fraction strings such as '1/700'."""
-    if isinstance(value, str):
-        return float(Fraction(value))
-    return float(value)
+    """Accept plain numbers or exact decimal/fraction strings such as '1/700'.
+
+    A value past the float range is +-inf, as ``float("1e400")`` is.
+    """
+    number = Fraction(value) if isinstance(value, str) else value
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
 
 
 def _parse_matrix(doc, n: int, name: str) -> np.ndarray:

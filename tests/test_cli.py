@@ -257,6 +257,13 @@ class TestRun:
         ("--t0", "1/0", "t_start must be a number or a fraction string, got '1/0'"),
         ("--eps", "1,x", "epsilon must be a number or a fraction string, got 'x'"),
         ("--dt", "1/20,1/4O", "dt must be a number or a fraction string, got '1/4O'"),
+        # Past the float range a number reads as infinite, as float("1e400") does.
+        ("--dt", "1e400", "dt must be finite and positive, got inf"),
+        ("--eps", "1e400", "epsilon must be finite and positive, got inf"),
+        ("--tfinal", "1e400", "t_final must be finite, got inf"),
+        ("--ref", "fine:1e400", "reference step must be finite and positive, got inf"),
+        ("--ref", "fine:1/0", "reference step must be a number or a fraction string, got '1/0'"),
+        ("--ref", "fine:abc", "reference step must be a number or a fraction string, got 'abc'"),
     ])
     def test_malformed_number_is_usage_error_naming_the_field(self, capsys, flag, value, message):
         argv = {"--eps": "1", "--dt": "1/20", "--tfinal": "1", flag: value}

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from relaxbdf.harness import ExperimentConfig, compute_error, run_convergence_study
+from relaxbdf.harness import ExperimentConfig, compute_error, grid_error, run_convergence_study
 from relaxbdf.linalg import SingularMatrixError, lu_factor
 from relaxbdf.integrator import (
     NonFiniteStepError,
@@ -814,3 +814,40 @@ class TestUniformStability:
                 + math.sqrt(dt / epsilon) * u0.l2_norm(stiff_components)
             )
             assert final.l2_norm() <= allowance
+
+
+class TestUniformAccuracy:
+    def test_one_error_bound_for_every_epsilon(self):
+        """The paper's claim: the accuracy does not depend on eps.
+
+        Over eps = 1e-16..1 (one per decade) and dt = 1/80..1/320 at t = 0.5,
+        with exact startup and reference, the sup over eps of the grid error
+        has slope q, and no eps errs more than eps = 1 does.  Measured: the
+        worst slope is 3.950 (Broadwell q=4, 0.050 off q) and the largest
+        ratio to eps = 1 is 1.022 (Grad q=1; every other pair's is 1.000).
+        The margin 0.1 and the factor K = 1.05 are set from these.  Grad's
+        data has no eps correction; the bound covers it all the same.
+        """
+        epsilons = [10.0 ** -k for k in range(16, -1, -1)]
+        dts = (1 / 80, 1 / 160, 1 / 320)
+        for name in ("arz", "broadwell", "grad"):
+            model = build_model(name)
+            for q in (1, 2, 3, 4):
+                errors = {}
+                for epsilon in epsilons:
+                    system = model.system_at(epsilon)
+                    u0 = initial_data(model, max(q, 2), model.data_cutoff, epsilon)
+                    reference = exact_evolve(u0, system, 0.5)
+                    errors[epsilon] = [
+                        grid_error(run(u0, system, q, dt, 0.5, startup="exact"), reference)
+                        for dt in dts
+                    ]
+                sup = [max(errors[epsilon][i] for epsilon in epsilons) for i in range(len(dts))]
+                slope = fit_order(dts, sup)
+                assert abs(slope - q) <= 0.1, f"{name} q={q}: sup-over-eps slope {slope:.3f}"
+                for epsilon in epsilons:
+                    for dt, error, bound in zip(dts, errors[epsilon], errors[1.0]):
+                        assert error <= 1.05 * bound, (
+                            f"{name} q={q} eps={epsilon:g} dt={dt:g}: error {error:.3e}"
+                            f" > 1.05 x {bound:.3e} at eps=1"
+                        )

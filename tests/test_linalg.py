@@ -29,18 +29,18 @@ def series_exponential(matrix, t, max_terms=200):
 
 class TestLuSolve:
     def test_identity(self):
-        x = lu_factor(np.eye(3)).solve(np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(x, [1.0, 2.0, 3.0], rtol=0, atol=0)
+        x = lu_factor(np.eye(3)).solve(np.array([[1.0], [2.0], [3.0]]))
+        np.testing.assert_allclose(x, [[1.0], [2.0], [3.0]], rtol=0, atol=0)
 
     def test_diagonal(self):
-        x = lu_factor(np.diag([2.0, 4.0])).solve(np.array([2.0, 4.0]))
-        np.testing.assert_allclose(x, [1.0, 1.0])
+        x = lu_factor(np.diag([2.0, 4.0])).solve(np.array([[2.0], [4.0]]))
+        np.testing.assert_allclose(x, [[1.0], [1.0]])
 
     def test_random_multiply_back(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             a = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
-            b = rng.standard_normal(5)
+            b = rng.standard_normal((5, 1))
             x = lu_factor(a).solve(b)
             residual = np.linalg.norm(a @ x - b)
             bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
@@ -55,7 +55,7 @@ class TestLuSolve:
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]])).solve(np.array([1.0, 1.0]))
+            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]])).solve(np.ones((2, 1)))
 
     def test_factor_reconstruction(self):
         rng = np.random.default_rng(11)
@@ -76,13 +76,13 @@ class TestLuSolve:
         b = rng.standard_normal((9, 5, 3))
         fac = lu_factor(a)
         x = fac.solve(b)
-        vectors = fac.solve(b[..., 0])
+        columns = fac.solve(b[..., :1])
         for j in range(9):
             single = lu_factor(a[j])
             np.testing.assert_array_equal(fac.packed[j], single.packed)
             np.testing.assert_array_equal(fac.row_order[j], single.row_order)
             np.testing.assert_array_equal(x[j], single.solve(b[j]))
-            np.testing.assert_array_equal(vectors[j], single.solve(b[j, :, 0]))
+            np.testing.assert_array_equal(columns[j], single.solve(b[j, :, :1]))
 
     def test_stack_singular_slice_is_named(self):
         stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.eye(2)])
@@ -92,12 +92,19 @@ class TestLuSolve:
     def test_stack_threshold_is_per_slice(self):
         # A tiny slice is not singular because another slice is huge.
         stack = np.array([1e-20 * np.eye(3), 1e20 * np.eye(3)])
-        x = lu_factor(stack).solve(np.ones((2, 3)))
-        np.testing.assert_array_equal(x, [[1e20] * 3, [1e-20] * 3])
+        x = lu_factor(stack).solve(np.ones((2, 3, 1)))
+        np.testing.assert_array_equal(x, [[[1e20]] * 3, [[1e-20]] * 3])
 
     def test_stack_rhs_must_match(self):
         with pytest.raises(ValueError, match="does not match factors"):
-            lu_factor(np.array([np.eye(2)] * 3)).solve(np.ones((2, 2)))
+            lu_factor(np.array([np.eye(2)] * 3)).solve(np.ones((2, 2, 1)))
+
+    def test_vector_rhs_rejected(self):
+        # Right-hand sides are matrices; a vector is a one-column matrix.
+        with pytest.raises(ValueError, match=r"rhs of shape \(2,\) does not match"):
+            lu_factor(np.eye(2)).solve(np.ones(2))
+        with pytest.raises(ValueError, match=r"rhs of shape \(3, 2\) does not match"):
+            lu_factor(np.array([np.eye(2)] * 3)).solve(np.ones((3, 2)))
 
 
 class TestMatrixExponential:

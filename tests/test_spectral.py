@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relaxbdf
 from relaxbdf.spectral import (
     SpectralField,
     field_inner_product,
@@ -160,6 +165,26 @@ class TestFieldAlgebra:
         with pytest.raises(ValueError):
             SpectralField(bad, 1.0, real_valued=True)
         SpectralField(bad, 1.0, real_valued=False)  # fine as a complex field
+
+    def test_conjugate_symmetry_enforced_under_optimize_flag(self):
+        # ``python -O`` sets ``__debug__`` to False; a real field stays checked.
+        script = (
+            "import numpy as np\n"
+            "from relaxbdf.spectral import SpectralField\n"
+            "print('debug', __debug__)\n"
+            "try:\n"
+            "    SpectralField(np.array([[0.0], [0.0], [1.0 + 1.0j]]), 1.0, real_valued=True)\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n"
+        )
+        package_root = str(Path(relaxbdf.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert result.stdout.splitlines() == [
+            "debug False",
+            "ValueError: conjugate-symmetry residual 1.414e+00 too large for a real-valued field",
+        ]
 
     def test_layout_mismatch_rejected(self):
         u = zero_field(1, 3, 1.0)

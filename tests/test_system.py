@@ -10,22 +10,16 @@ from relaxbdf.system import (
     SymmetrizerNotFoundError,
     check_structural_stability,
     find_symmetrizer,
-    find_transform,
     system_from_json,
     system_to_json,
     transform_to_normal_form,
 )
+from relaxbdf.models import make_broadwell
 
 ARZ_CONVECTION = np.array([[1.0, 1.0], [0.0, -0.5]])
 ARZ_SOURCE = np.array([[0.0, 0.0], [-0.5, -1.0]])
 ARZ_TRANSFORM = np.array([[1.0, 0.0], [0.5, 1.0]])
 ARZ_SYMMETRIZER = np.array([[3.0, 2.0], [2.0, 4.0]])
-
-BROADWELL_SOURCE = np.array([
-    [0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0],
-    [1.0, 0.0, -2.0],
-])
 
 
 def arz_normal_form():
@@ -103,10 +97,10 @@ class TestTransform:
         with pytest.raises(NotNormalFormError):
             transform_to_normal_form(ARZ_CONVECTION, ARZ_SOURCE, np.eye(2))
 
-    def test_found_transform_block_diagonalizes_broadwell(self):
+    def test_broadwell_transform_block_diagonalizes(self):
         # The source has eigenvalues {0, 0, -2}: the stiff block must be -2.
-        transform = find_transform(BROADWELL_SOURCE)
-        moved = transform_to_normal_form(np.zeros((3, 3)), BROADWELL_SOURCE, transform)
+        model = make_broadwell()
+        moved = transform_to_normal_form(np.zeros((3, 3)), model.raw_source, model.transform)
         np.testing.assert_allclose(moved.source, np.diag([0.0, 0.0, -2.0]), atol=1e-12)
         assert moved.stiff_size == 1
 
@@ -114,12 +108,7 @@ class TestTransform:
         # Its rows define the Broadwell normal-form variables, in which every
         # Broadwell table cell is measured.
         expected = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5, 0.0, 1.0]])
-        np.testing.assert_array_equal(find_transform(BROADWELL_SOURCE), expected)
-
-    def test_nilpotent_source_rejected(self):
-        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(NotNormalFormError):
-            find_transform(nilpotent)
+        np.testing.assert_array_equal(make_broadwell().transform, expected)
 
 
 class TestRelaxationSystem:
@@ -209,8 +198,6 @@ class TestCertificate:
 
     def test_stacks_rejected_by_shape(self):
         stack = np.array([np.diag([0.0, -1.0])] * 2)
-        with pytest.raises(ValueError, match=r"2-D matrix, got shape \(2, 3, 3\)"):
-            find_transform(np.zeros((2, 3, 3)))
         witness = StabilityWitness(np.eye(2), np.eye(2), stiff_size=1)
         with pytest.raises(ValueError, match=r"2-D matrix, got shape \(2, 2, 2\)"):
             check_structural_stability((stack, stack), witness)
@@ -314,16 +301,7 @@ class TestSymmetrizerSearch:
         assert check_structural_stability(system, witness, 1e-8).passed
 
     def test_broadwell_witness_verifies(self):
-        transform = find_transform(BROADWELL_SOURCE)
-        convection = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        moved = transform_to_normal_form(convection, BROADWELL_SOURCE, transform)
-        system = RelaxationSystem(
-            convection=moved.convection,
-            source=moved.source,
-            stiff_size=moved.stiff_size,
-            epsilon=1.0,
-            domain_length=2 * np.pi,
-        )
+        system = make_broadwell().system
         witness = find_symmetrizer(system)
         assert check_structural_stability(system, witness, 1e-8).passed
         np.testing.assert_array_equal(witness.symmetrizer, np.diag([1.0, 2.0, 4.0]))
@@ -452,6 +430,13 @@ class TestJsonInterchange:
         }
         system, _ = system_from_json(doc)
         assert system.convection[0, 1] == 1.0
+
+    @pytest.mark.parametrize("key", ["epsilon", "domain_length"])
+    def test_scalar_past_the_float_range_rejected(self, key):
+        doc = {"n": 2, "r": 1, "epsilon": 1, "domain_length": 1,
+               "A": [1, 0, 0, 1], "Q": [0, 0, 0, -1], key: "1e400"}
+        with pytest.raises(ValueError, match=f"{key} must be finite and positive, got inf"):
+            system_from_json(doc)
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity"])
     def test_non_finite_json_numbers_rejected(self, token):
