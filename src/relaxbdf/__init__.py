@@ -34,7 +34,6 @@ from .system import (
     find_symmetrizer,
     system_from_json,
     system_to_json,
-    transform_to_normal_form,
 )
 from .theory import (
     discrete_energy,
@@ -79,7 +78,6 @@ __all__ = [
     "run_convergence_study",
     "system_from_json",
     "system_to_json",
-    "transform_to_normal_form",
     "truncation_residual",
     "verify_multiplier_identity",
     "zero_field",

@@ -66,13 +66,22 @@ def _configure_logging(level: str) -> None:
     package.propagate = False
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits with ``USAGE_ERROR`` on a usage error, where argparse exits 2;
+    subparsers take the class of their parent."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _tokens(text: str) -> tuple[str, ...]:
     """The comma-separated numbers of a flag; the config parses them."""
     return tuple(tok for tok in text.split(",") if tok)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="relaxbdf",
         description="IMEX-BDF / Fourier solvers for stiff linear relaxation systems",
     )

@@ -29,7 +29,7 @@ import numpy as np
 from .integrator import UnsupportedOrderError
 from .linalg import _check_positive
 from .spectral import SpectralField, project
-from .system import RelaxationSystem, StabilityWitness, find_symmetrizer, transform_to_normal_form
+from .system import RelaxationSystem, StabilityWitness, find_symmetrizer
 
 __all__ = [
     "InvalidParameterError",
@@ -81,11 +81,15 @@ def _model(name, parameters, convection, source, transform, domain_length, data_
            profile, raw_symmetrizer=None) -> ModelSpec:
     """The model of ``U_t + A U_x = Q U / eps`` in the variables ``P U``, at eps 1.
 
-    Its witness is ``(P, raw_symmetrizer)`` moved to normal form, or else
-    the one :func:`find_symmetrizer` finds.
+    Its system is ``(P A P^-1, P Q P^-1)`` with stiff size ``rank Q``, the
+    size of ``S`` in the normal form ``diag(0, S)``; ``RelaxationSystem``
+    refuses a ``P`` that does not bring ``Q`` to that form.  Its witness is
+    ``(P, raw_symmetrizer)`` moved to normal form, or else the one
+    :func:`find_symmetrizer` finds.
     """
-    system = RelaxationSystem(*transform_to_normal_form(convection, source, transform),
-                              epsilon=1.0, domain_length=domain_length)
+    p_inv = np.linalg.inv(transform)
+    system = RelaxationSystem(transform @ convection @ p_inv, transform @ source @ p_inv,
+                              int(np.linalg.matrix_rank(source)), 1.0, domain_length)
     if raw_symmetrizer is None:
         raw_witness, witness = None, find_symmetrizer(system)
     else:
@@ -111,8 +115,14 @@ def make_arz(
     pressure ``p = c0 rho^gamma`` and Greenshields equilibrium speed
     ``V(rho) = v_f (1 - rho/rho_m)``; the velocity relaxes toward
     ``V'(rho*) rho`` on the timescale epsilon.  The hand-written raw
-    symmetrizer certifies the default parameters only.
+    symmetrizer certifies the default parameters only.  The densities
+    ``rho_m`` and ``rho_star`` must be positive.
     """
+    for key, density in (("rho_m", rho_m), ("rho_star", rho_star)):
+        if not density > 0.0:
+            raise InvalidParameterError(
+                f"model 'arz' parameter {key!r} must be a positive density, got {density!r}"
+            )
     pressure_slope = c0 * gamma * rho_star ** (gamma - 1.0)
     relax_slope = -v_f / rho_m
     convection = np.array([

@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .linalg import _check_positive
+
 __all__ = [
     "SpectralField",
     "project",
@@ -68,8 +70,7 @@ class SpectralField:
             raise ValueError(f"coeffs must have shape (2N+1, n), got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("coefficients contain non-finite entries")
-        if not self.domain_length > 0.0:
-            raise ValueError("domain_length must be positive")
+        _check_positive("domain_length", self.domain_length)
         if self.real_valued:
             _check_conjugate_symmetry(arr)
         arr = arr.copy()
@@ -169,6 +170,7 @@ def project(
     the coefficients of band-limited inputs exactly (to roundoff).  The field
     is flagged real when all samples are real.
     """
+    _check_positive("domain_length", domain_length)  # before sampling at x = L j / m
     m = 2 * (2 * cutoff + 1)
     points = np.arange(m) * (domain_length / m)
     samples = np.empty((m, n), dtype=complex)

@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -62,7 +62,6 @@ __all__ = [
     "ConditionCheck",
     "CertificateReport",
     "check_structural_stability",
-    "transform_to_normal_form",
     "find_symmetrizer",
     "system_to_json",
     "system_from_json",
@@ -130,7 +129,12 @@ def _snap_normal_form(source: np.ndarray, r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelaxationSystem:
-    """Normal-form system ``U_t + A U_x = diag(0, S_hat) U / epsilon``."""
+    """Normal-form system ``U_t + A U_x = diag(0, S_hat) U / epsilon``.
+
+    The one normal-form check: a source with an off-block entry past
+    ``_NORMAL_FORM_TOL`` of its scale, or a singular ``S_hat``, raises
+    ``NotNormalFormError``.
+    """
 
     convection: np.ndarray
     source: np.ndarray
@@ -321,50 +325,6 @@ def check_structural_stability(system, witness: StabilityWitness, tol: float = 1
         stiff_coupling=stiff_coupling,
         tol=tol,
     )
-
-
-class TransformedSystem(NamedTuple):
-    """Named triple ``(convection, source, stiff_size)`` in normal form."""
-
-    convection: np.ndarray
-    source: np.ndarray
-    stiff_size: int
-
-
-def _infer_stiff_size(source: np.ndarray, tol: float) -> int:
-    """Largest r such that rows/columns outside the trailing r-block vanish."""
-    n = source.shape[0]
-    scale = max(float(np.abs(source).max()), 1.0)
-    bulk = 0
-    while bulk < n:
-        row_clear = np.abs(source[bulk, :]).max() <= tol * scale
-        col_clear = np.abs(source[:, bulk]).max() <= tol * scale
-        if not (row_clear and col_clear):
-            break
-        bulk += 1
-    return n - bulk
-
-
-def transform_to_normal_form(convection, source, transform) -> TransformedSystem:
-    """Change variables by ``P``: returns ``(P A P^-1, P Q P^-1, r)``.
-
-    Raises ``SingularTransformError`` if ``P`` is singular and
-    ``NotNormalFormError`` if the transformed source is not block diagonal
-    with an invertible stiff block (within 1e-12 of the matrix scale).
-    """
-    conv = validate_matrix(convection, name="convection")
-    src = validate_matrix(source, name="source")
-    p = validate_matrix(transform, name="transform")
-    if conv.shape != src.shape or conv.shape != p.shape or conv.ndim != 2:
-        raise DimensionMismatchError("convection, source and transform must share one matrix shape")
-    _require_invertible(p, SingularTransformError, "transform")
-    p_inv = np.linalg.inv(p)
-    new_conv = p @ conv @ p_inv
-    new_src = p @ src @ p_inv
-    r = _infer_stiff_size(new_src, _NORMAL_FORM_TOL)
-    if r == 0:
-        raise NotNormalFormError("transformed source vanishes; no stiff block")
-    return TransformedSystem(new_conv, _snap_normal_form(new_src, r), r)
 
 
 # -- symmetrizer search -----------------------------------------------------

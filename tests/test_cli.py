@@ -23,6 +23,29 @@ class TestCheckStability:
         assert "error: tol must be finite and positive" in capsys.readouterr().err
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "nope"],
+        # argparse's negative-number pattern does not match -1e400, so --eps
+        # reads as a flag without its value.
+        ["run", "--eps", "-1e400"],
+        [],
+    ], ids=["unknown-model", "unmatched-negative-number", "no-subcommand"])
+    def test_argparse_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert "relaxbdf" in err and "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage: relaxbdf" in capsys.readouterr().out
+
+
 def test_model_choices_follow_the_registry(monkeypatch):
     monkeypatch.setitem(MODEL_BUILDERS, "grad3", lambda: make_grad(3))
     parser = _build_parser()
@@ -123,6 +146,21 @@ class TestRun:
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("overrides", [{"rho_m": 0}, {"rho_star": 0, "gamma": 0.5}])
+    def test_nonpositive_arz_density_is_usage_error(self, tmp_path, capsys, overrides):
+        # Both once ended in a ZeroDivisionError traceback.
+        config = {"model": "arz", "order": 2, "epsilons": [1.0], "dts": ["1/20"], "t_final": 1,
+                  "overrides": overrides}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        key = next(iter(overrides))
+        assert err.splitlines() == [
+            f"error: model 'arz' parameter '{key}' must be a positive density, got 0"
+        ]
         assert not (tmp_path / "t.csv").exists()
 
     def test_failed_cells_exit_code(self, tmp_path):

@@ -143,6 +143,17 @@ class TestRegistry:
         with pytest.raises(InvalidParameterError, match=message):
             build_model(name, **overrides)
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"rho_m": 0}, "rho_m"),  # was a ZeroDivisionError
+        ({"rho_star": 0, "gamma": 0.5}, "rho_star"),  # was a ZeroDivisionError
+        ({"rho_star": -1}, "rho_star"),  # built a model
+        ({"rho_m": -8.0}, "rho_m"),
+    ])
+    def test_nonpositive_arz_density_names_the_parameter(self, overrides, key):
+        message = f"model 'arz' parameter '{key}' must be a positive density, got {overrides[key]}"
+        with pytest.raises(InvalidParameterError, match=message):
+            build_model("arz", **overrides)
+
     @pytest.mark.parametrize("name", ["arz", "broadwell", "grad"])
     def test_epsilon_is_not_a_build_parameter(self, name):
         # Models are built at eps = 1; system_at sets eps.

@@ -186,6 +186,18 @@ class TestFieldAlgebra:
             "ValueError: conjugate-symmetry residual 1.414e+00 too large for a real-valued field",
         ]
 
+    @pytest.mark.parametrize("length", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("build", [
+        lambda length: SpectralField(np.zeros((3, 1)), length),
+        lambda length: zero_field(1, 1, length),
+        lambda length: project(lambda x: [math.sin(x)], 1, 1, length),
+    ], ids=["SpectralField", "zero_field", "project"])
+    def test_period_must_be_finite_and_positive(self, build, length):
+        # On an infinite period a zero field's l2_norm() was nan.
+        message = f"domain_length must be finite and positive, got {length!r}"
+        with pytest.raises(ValueError, match=message):
+            build(length)
+
     def test_layout_mismatch_rejected(self):
         u = zero_field(1, 3, 1.0)
         v = zero_field(1, 4, 1.0)

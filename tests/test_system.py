@@ -12,25 +12,13 @@ from relaxbdf.system import (
     find_symmetrizer,
     system_from_json,
     system_to_json,
-    transform_to_normal_form,
 )
-from relaxbdf.models import make_broadwell
+from relaxbdf.models import make_arz, make_broadwell
 
 ARZ_CONVECTION = np.array([[1.0, 1.0], [0.0, -0.5]])
 ARZ_SOURCE = np.array([[0.0, 0.0], [-0.5, -1.0]])
 ARZ_TRANSFORM = np.array([[1.0, 0.0], [0.5, 1.0]])
 ARZ_SYMMETRIZER = np.array([[3.0, 2.0], [2.0, 4.0]])
-
-
-def arz_normal_form():
-    moved = transform_to_normal_form(ARZ_CONVECTION, ARZ_SOURCE, ARZ_TRANSFORM)
-    return RelaxationSystem(
-        convection=moved.convection,
-        source=moved.source,
-        stiff_size=moved.stiff_size,
-        epsilon=1.0,
-        domain_length=1.0,
-    )
 
 
 def generated_certified_system(rng, n, r, damping=None):
@@ -66,43 +54,26 @@ def generated_certified_system(rng, n, r, damping=None):
 class TestTransform:
     def test_traffic_model_by_hand(self):
         # 2x2 arithmetic done by hand: P A P^-1 and P Q P^-1.
-        moved = transform_to_normal_form(ARZ_CONVECTION, ARZ_SOURCE, ARZ_TRANSFORM)
-        np.testing.assert_allclose(moved.source, np.diag([0.0, -1.0]), atol=1e-14)
+        model = make_arz()
+        np.testing.assert_array_equal(model.raw_convection, ARZ_CONVECTION)
+        np.testing.assert_array_equal(model.raw_source, ARZ_SOURCE)
+        np.testing.assert_array_equal(model.transform, ARZ_TRANSFORM)
+        np.testing.assert_allclose(model.system.source, np.diag([0.0, -1.0]), atol=1e-14)
         np.testing.assert_allclose(
-            moved.convection, np.array([[0.5, 1.0], [0.5, 0.0]]), atol=1e-14
+            model.system.convection, np.array([[0.5, 1.0], [0.5, 0.0]]), atol=1e-14
         )
-        assert moved.stiff_size == 1
-
-    def test_identity_transform_is_noop(self):
-        source = np.diag([0.0, -1.0])
-        convection = np.array([[0.5, 1.0], [0.5, 0.0]])
-        moved = transform_to_normal_form(convection, source, np.eye(2))
-        np.testing.assert_array_equal(moved.source, source)
-        np.testing.assert_array_equal(moved.convection, convection)
-
-    def test_roundtrip_recovers_original(self):
-        moved = transform_to_normal_form(ARZ_CONVECTION, ARZ_SOURCE, ARZ_TRANSFORM)
-        p_inv = np.linalg.inv(ARZ_TRANSFORM)
-        back_conv = p_inv @ moved.convection @ ARZ_TRANSFORM
-        back_src = p_inv @ moved.source @ ARZ_TRANSFORM
-        assert np.abs(back_conv - ARZ_CONVECTION).max() <= 1e-12
-        assert np.abs(back_src - ARZ_SOURCE).max() <= 1e-12
+        assert model.system.stiff_size == 1
 
     def test_singular_transform_rejected(self):
         with pytest.raises(SingularTransformError, match="transform is singular: smallest "
                            "singular value .* at most threshold 2.000e-14"):
-            transform_to_normal_form(ARZ_CONVECTION, ARZ_SOURCE, np.ones((2, 2)))
-
-    def test_wrong_transform_rejected(self):
-        with pytest.raises(NotNormalFormError):
-            transform_to_normal_form(ARZ_CONVECTION, ARZ_SOURCE, np.eye(2))
+            StabilityWitness(np.ones((2, 2)), ARZ_SYMMETRIZER, stiff_size=1)
 
     def test_broadwell_transform_block_diagonalizes(self):
         # The source has eigenvalues {0, 0, -2}: the stiff block must be -2.
-        model = make_broadwell()
-        moved = transform_to_normal_form(np.zeros((3, 3)), model.raw_source, model.transform)
-        np.testing.assert_allclose(moved.source, np.diag([0.0, 0.0, -2.0]), atol=1e-12)
-        assert moved.stiff_size == 1
+        system = make_broadwell().system
+        np.testing.assert_allclose(system.source, np.diag([0.0, 0.0, -2.0]), atol=1e-12)
+        assert system.stiff_size == 1
 
     def test_broadwell_transform_pinned(self):
         # Its rows define the Broadwell normal-form variables, in which every
@@ -133,12 +104,12 @@ class TestRelaxationSystem:
             )
 
     def test_structural_zeros_are_exact(self):
-        system = arz_normal_form()
+        system = make_arz().system
         assert system.source[0, 0] == 0.0 and system.source[0, 1] == 0.0
         assert system.source[1, 0] == 0.0
 
     def test_epsilon_swap(self):
-        system = arz_normal_form()
+        system = make_arz().system
         assert system.with_epsilon(1e-6).epsilon == 1e-6
         with pytest.raises(ValueError):
             system.with_epsilon(-1.0)
@@ -146,7 +117,7 @@ class TestRelaxationSystem:
     @pytest.mark.parametrize("epsilon", [0.0, float("inf"), float("nan")])
     def test_nonpositive_or_nonfinite_epsilon_rejected(self, epsilon):
         with pytest.raises(ValueError, match=f"epsilon must be finite and positive, got {epsilon!r}"):
-            arz_normal_form().with_epsilon(epsilon)
+            make_arz().system.with_epsilon(epsilon)
 
 
 class TestCertificate:
@@ -193,8 +164,6 @@ class TestCertificate:
             RelaxationSystem(stack, stack, 1, 1.0, 1.0)
         with pytest.raises(DimensionMismatchError):
             StabilityWitness(np.array([np.eye(2)] * 2), np.array([np.eye(2)] * 2), stiff_size=1)
-        with pytest.raises(DimensionMismatchError):
-            transform_to_normal_form(stack, stack, np.array([np.eye(2)] * 2))
 
     def test_stacks_rejected_by_shape(self):
         stack = np.array([np.diag([0.0, -1.0])] * 2)
@@ -292,7 +261,7 @@ class TestSymmetrizerSearch:
     def test_traffic_model_solution_ray_matches_known_witness(self):
         # The known raw-variable symmetrizer maps through P to diag(2, 4);
         # the search space for the normal form must contain that ray.
-        system = arz_normal_form()
+        system = make_arz().system
         witness = find_symmetrizer(system)
         found = np.asarray(witness.symmetrizer)
         target = np.diag([2.0, 4.0])
@@ -394,7 +363,7 @@ class TestSymmetrizerSearch:
 
 class TestJsonInterchange:
     def test_roundtrip(self):
-        system = arz_normal_form()
+        system = make_arz().system
         witness = StabilityWitness(np.eye(2), np.diag([2.0, 4.0]), stiff_size=1)
         text = system_to_json(system, witness)
         loaded, loaded_witness = system_from_json(text)
