@@ -9,31 +9,35 @@ relaxation system by
 treating convection explicitly (extrapolated through the gamma weights) and
 the stiff source implicitly.  Because the implicit matrix
 ``alpha_q I - beta dt/eps Q`` is real and the same for every mode, it is
-inverted once per run; each step then applies the inverse to all modes with
-one matrix product.  In the normal form ``Q = diag(0, S)`` this matrix, like
-the ARS stage matrix ``I - h g Q/eps``, is block diagonal with a multiple of
-the identity as its bulk block, so only the stiff block is factored (with
-the singular-pivot check).  A factorization of the whole matrix would judge
-the bulk pivot against entries of size dt/eps and fail below eps ~ 1e-16.
-A singular stiff block raises ``SingularMatrixError`` naming the matrix,
-eps and the step.
+inverted once per run and folded into every mode's step matrix.  In the
+normal form ``Q = diag(0, S)`` this matrix, like the ARS stage matrix
+``I - h g Q/eps``, is block diagonal with a multiple of the identity as its
+bulk block, so only the stiff block is factored (with the singular-pivot
+check).  A factorization of the whole matrix would judge the bulk pivot
+against entries of size dt/eps and fail below eps ~ 1e-16.  A singular
+stiff block raises ``SingularMatrixError`` naming the matrix, eps and the
+step.
 
 A step works on the float64 views (rows, 2n) of the complex coefficients
-(real and imaginary parts side by side).  The convection product, with the
-factor i of ``d_x`` folded in, and the implicit inverse are real block forms
-built once per run, so both products are plain float64 matrix products.  The
-weighted sums keep the complex step's operations and order, so a step is
-bit-identical to its complex form (up to the sign of exact zeros).  One loop
-runs the steps; it writes each new value into the history buffer it retires,
-so no step allocates.  A step that overflows or makes a NaN raises
-``NonFiniteStepError`` naming the step, eps and dt.
+(real and imaginary parts side by side), held in a ring of q slots per row.
+It is two matrix products.  One, with entries 0 and +-1, forms the
+differences ``h_i - h_new`` exactly as a subtraction would; the other applies
+a per-row step matrix (weights, ``dt * kappa``, convection and implicit
+inverse in one real block) and writes the new level into the slot it
+retires, so no step allocates.  The difference form keeps the conserved k=0
+components of a constant history bitwise constant.  The terms are summed in
+another order than in the complex formula, so the two agree to rounding.
+A step that overflows or makes a NaN raises ``NonFiniteStepError`` naming
+the step, eps and dt.
 
 The modes decouple and a zero mode stays exactly zero, so the steps and the
 startup run only on the rows ``k`` and ``-k`` of the modes the data occupies.
 A real-valued history (``u_hat[-k] = conj(u_hat[k])``) is first made the
-exact mirror of its rows ``k >= 0``, with a real ``k = 0`` row; every step
-operation is elementwise or a right product with a real block matrix, both
-symmetric under a sign change in IEEE arithmetic, so the mirror stays exact.
+exact mirror of its rows ``k >= 0``, with a real ``k = 0`` row.  It stays
+exact: flipping the signs of the imaginary columns maps row ``k``'s step
+matrix onto row ``-k``'s exactly: ``J B J = B`` for the implicit block,
+``J K J = -K`` for the convection block, and ``dt * kappa`` changes sign
+exactly with ``k``.
 
 Startup values for q >= 2 apply one per-mode map of a step ``dt`` q-1
 times: the exact propagator ("exact", the default for testing) or N refined
@@ -139,33 +143,33 @@ def bdf_coefficients(q: int) -> BDFCoefficients:
 class SolverState:
     """Mutable per-run state: the history ring plus the per-run constants.
 
-    ``history[i]`` holds the coefficients of ``u^{n+i}`` (oldest first) on
-    the stepped ``rows`` (a mask of the 2N+1 rows of a returned field) as the
-    float64 view of a complex (rows, n) array: columns 2j and 2j+1 are the
-    real and imaginary parts of component j.  The q buffers are fixed: a step
-    writes the new value into the oldest one and moves it to the end.  The
-    constants, on the same rows, act on such views from the right:
+    ``ring[:, i]`` holds one history level on the stepped ``rows`` (a mask of
+    the 2N+1 rows of a returned field) as the float64 view of a complex
+    (rows, n) array: columns 2j and 2j+1 are the real and imaginary parts of
+    component j.  Slot ``newest`` holds ``u^{n+q-1}``; the older levels
+    follow it cyclically, oldest first.  The per-run constants act on a row
+    from the right:
 
-    * ``convection_block`` is ``kron(A^T, [[0, 1], [-1, 0]])``, the product
-      with ``i A`` (the factor i of ``d_x`` folded in);
-    * ``implicit_block`` is ``kron(inv(alpha_q I - beta dt/eps Q)^T, I_2)``;
-    * ``scaled_wavenumbers`` is the column ``dt * kappa`` repeated over the
-      2n columns (a contiguous operand is scaled faster than a broadcast one).
+    * ``differences[s]``, for newest slot ``s``, takes the flattened row to
+      ``[h_0 - h_new, ..., h_{q-2} - h_new, h_new]`` (oldest first); its
+      entries are 0 and +-1, so every difference is rounded once;
+    * ``step_matrices[r]`` takes that row of differences to the new level of
+      row ``r``: ``[-alpha_i B; ...; B] - dt kappa_r [gamma_i K B; ...;
+      (sum gamma) K B]``, with ``K = kron(A^T, [[0, 1], [-1, 0]])`` the
+      product with ``i A`` (the factor i of ``d_x`` folded in);
+    * ``implicit_block`` is ``B = kron(inv(alpha_q I - beta dt/eps Q)^T, I_2)``.
 
-    ``alpha`` and ``gamma`` are the scheme weights as 0-d float64 arrays,
-    which a ufunc takes without converting a scalar on every call, and
-    ``scratch`` holds the step's three temporaries; no history buffer lives
-    in it.  States compare by identity.
+    ``scratch`` holds the differences of the step under way.  States compare
+    by identity.
     """
 
-    history: list[np.ndarray]
+    ring: np.ndarray
+    newest: int
     step_index: int
     dt: float
-    convection_block: np.ndarray
     implicit_block: np.ndarray
-    scaled_wavenumbers: np.ndarray
-    alpha: tuple[np.ndarray, ...]
-    gamma: tuple[np.ndarray, ...]
+    differences: np.ndarray
+    step_matrices: np.ndarray
     scratch: np.ndarray
     rows: np.ndarray
     domain_length: float
@@ -218,8 +222,10 @@ def make_solver_state(
     It steps the rows any of them occupies; a real-valued history is first
     made the exact mirror of its rows ``k >= 0``, with a real ``k = 0`` row.
     """
-    if len(history) != coeffs.q:
-        raise ValueError(f"history must hold {coeffs.q} fields, got {len(history)}")
+    _check_positive("dt", dt)
+    q = coeffs.q
+    if len(history) != q:
+        raise ValueError(f"history must hold {q} fields, got {len(history)}")
     first = history[0]
     for other in history[1:]:
         if not first.same_layout(other):
@@ -240,17 +246,27 @@ def make_solver_state(
         - (coeffs.beta * dt / system.epsilon) * system.stiff_block,
         f"BDF implicit matrix (eps={system.epsilon:g}, dt={dt:g})",
     )
-    views = list(values.view(np.float64))
+    implicit = np.kron(inverse.T, np.eye(2))
+    convected = np.kron(np.asarray(system.convection, dtype=float).T, _TIMES_I) @ implicit
+    # Slot s + 1 + j holds level j (oldest first) when slot s holds the newest.
+    levels = np.eye(q)
+    levels[q - 1, : q - 1] = -1.0
+    differences = np.array([np.kron(np.roll(levels, s + 1, 0), np.eye(2 * n)) for s in range(q)])
+    implicit_part = np.concatenate([-a * implicit for a in coeffs.alpha[: q - 1]] + [implicit])
+    convection_part = np.concatenate(
+        [g * convected for g in coeffs.gamma[: q - 1]] + [coeffs.gamma.sum() * convected]
+    )
+    scaled_wavenumbers = (dt * first.wavenumbers)[rows, np.newaxis, np.newaxis]
+    ring = np.ascontiguousarray(values.transpose(1, 0, 2)).view(np.float64)
     return SolverState(
-        history=views,
+        ring=ring,
+        newest=q - 1,
         step_index=0,
         dt=dt,
-        convection_block=np.kron(np.asarray(system.convection, dtype=float).T, _TIMES_I),
-        implicit_block=np.kron(inverse.T, np.eye(2)),
-        scaled_wavenumbers=np.repeat((dt * first.wavenumbers)[rows, np.newaxis], 2 * n, axis=1),
-        alpha=tuple(np.array(a) for a in coeffs.alpha),
-        gamma=tuple(np.array(g) for g in coeffs.gamma),
-        scratch=np.empty((3,) + views[0].shape),
+        implicit_block=implicit,
+        differences=differences,
+        step_matrices=implicit_part - scaled_wavenumbers * convection_part,
+        scratch=np.empty((len(ring), 2 * n * q)),
         rows=rows,
         domain_length=first.domain_length,
         real_valued=real_valued,
@@ -258,45 +274,25 @@ def make_solver_state(
 
 
 def _advance(state: SolverState, count: int = 1) -> np.ndarray:
-    """``count`` steps on the real views; returns the newest view.
+    """``count`` steps on the ring; returns the newest level's view.
 
-    Each new value is written into the history buffer it retires, so no step
-    allocates; the returned view is overwritten ``q`` steps later.  The
-    operations are those of the complex step, in the same order, so the
-    result is bit-identical to it up to the sign of exact zeros.
+    A step is two matrix products: the history differences into
+    ``scratch``, then each row's step matrix, which writes the new level into
+    the slot it retires.  No step allocates; the returned view is overwritten
+    ``q`` steps later.
     """
-    history, alpha, gamma = state.history, state.alpha, state.gamma
-    convection, implicit = state.convection_block, state.implicit_block
-    wavenumbers = state.scaled_wavenumbers
-    rhs, extrapolated, term = state.scratch
-    subtract, multiply, add, dot = np.subtract, np.multiply, np.add, np.dot
-    older = range(len(history) - 1)
-    newer = range(1, len(history))
+    ring, scratch = state.ring, state.scratch
+    flat, operand = ring.reshape(scratch.shape), scratch[:, np.newaxis, :]
+    differences, matrices = list(state.differences), state.step_matrices
+    slots = [ring[:, s : s + 1] for s in range(ring.shape[1])]
+    newest = state.newest
     for _ in range(count):
-        newest = history[-1]
-        # Difference form of -sum_{i<q} alpha_i u^{n+i}: identical
-        # algebraically (the alphas sum to zero) but exact when the history is
-        # constant, which keeps conserved k=0 components free of drift.  The
-        # first subtraction reads ``newest`` directly, so no copy of it is made.
-        minuend = newest
-        for i in older:
-            subtract(history[i], newest, term)
-            multiply(term, alpha[i], term)
-            subtract(minuend, term, rhs)
-            minuend = rhs
-        multiply(history[0], gamma[0], extrapolated)
-        for i in newer:
-            multiply(history[i], gamma[i], term)
-            add(extrapolated, term, extrapolated)
-        # i * dt * kappa * (A u): the i sits in convection_block.
-        dot(extrapolated, convection, term)
-        multiply(term, wavenumbers, term)
-        subtract(minuend, term, rhs)
-        oldest = history.pop(0)
-        dot(rhs, implicit, oldest)
-        history.append(oldest)
+        np.dot(flat, differences[newest], scratch)
+        newest = (newest + 1) % len(slots)
+        np.matmul(operand, matrices, slots[newest])
+        state.newest = newest
         state.step_index += 1
-    return history[-1]
+    return ring[:, newest]
 
 
 def _field(state: SolverState, view: np.ndarray) -> SpectralField:
@@ -526,6 +522,10 @@ def _integer_step_count(span: float, dt: float, q: int) -> int:
     holds the q-1 startup steps of an order-q history."""
     _check_positive("dt", dt)
     steps = span / dt
+    if not (math.isfinite(steps) and steps >= 0.0):
+        raise NonIntegerStepCountError(
+            f"interval {span!r} is not a finite, non-negative multiple of dt {dt!r}"
+        )
     rounded = round(steps)
     if abs(steps - rounded) > 1e-9 * max(1.0, abs(rounded)):
         raise NonIntegerStepCountError(

@@ -209,7 +209,7 @@ def discrete_energy(
             g = data.energy_form[i, j]
             if g != 0.0:
                 energy += g * field_inner_product(history[i], history[j], symmetrizer)
-    if data.history_form.size:
+    if data.history_form.any():
         bulk = system.bulk_size
         stiff_weight = -(
             witness.normal_form_symmetrizer()[bulk:, bulk:] @ system.stiff_block

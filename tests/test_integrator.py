@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,7 +251,9 @@ class TestRealViewStep:
     @pytest.mark.parametrize("epsilon", [1.0, 1e-8])
     def test_matches_complex_step_bitwise(self, name, q, epsilon):
         # The model's data, and its k=0 row alone: one stepped row takes a
-        # different BLAS path from several.
+        # different BLAS path from several.  The step matrices sum the
+        # complex formula's terms in another order, so the steps agree to
+        # rounding (2.3e-15 at worst, ARZ q=4 at eps=1), not bit for bit.
         model = build_model(name)
         system = model.system_at(epsilon)
         coeffs = bdf_coefficients(q)
@@ -266,13 +269,31 @@ class TestRealViewStep:
         for data, rows in ((u0, 2 * model.data_cutoff + 1), (one_row, 1)):
             fields = [exact_evolve(data, system, i * dt) for i in range(q)]
             state = make_solver_state(fields, system, coeffs, dt)
-            assert len(state.history[0]) == rows
+            assert len(state.ring) == rows
             history = [np.array(f.coeffs) for f in fields]
             for _ in range(50):
                 expected = complex_step(history, system, coeffs, dt, u0.wavenumbers, inverse)
                 history = history[1:] + [expected]
                 stepped = imex_bdf_step(state, system, coeffs)
-                assert np.array_equal(stepped.coeffs, expected)
+                assert np.abs(stepped.coeffs - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_difference_product_is_exact(self, q, rows):
+        # Entries 0 and +-1 make each product exact, so every difference is
+        # rounded once: the product equals the elementwise differences.
+        model = build_model("grad")
+        system = model.system_at(1e-2)
+        u0 = initial_data(model, max(q, 2), 4, 1e-2)
+        state = make_solver_state([u0] * q, system, bdf_coefficients(q), 1e-2)
+        width = 2 * system.dimension
+        ring = np.random.default_rng(q).standard_normal((rows, q, width))
+        for newest in range(q):
+            levels = [ring[:, (newest + 1 + j) % q] for j in range(q)]
+            expected = np.concatenate([h - levels[-1] for h in levels[:-1]] + [levels[-1]], axis=1)
+            product = np.empty((rows, q * width))
+            np.dot(ring.reshape(rows, -1), state.differences[newest], product)
+            assert product.tobytes() == expected.tobytes()
 
     def test_returned_field_survives_later_steps(self):
         model = build_model("broadwell")
@@ -282,12 +303,12 @@ class TestRealViewStep:
         u0 = initial_data(model, q, 8, 1e-2)
         state = make_solver_state([u0] * q, system, coeffs, dt=1e-2)
         first = imex_bdf_step(state, system, coeffs)
-        kept, ring = first.coeffs.copy(), state.history[-1]
+        kept, slot = first.coeffs.copy(), state.newest
+        assert not np.shares_memory(first.coeffs, state.ring)
         for _ in range(q - 1):
             imex_bdf_step(state, system, coeffs)
-        assert state.history[0] is ring
-        assert not np.shares_memory(ring, state.scratch)
-        assert np.array_equal(ring.view(complex), kept[_occupied(u0)])
+        assert state.newest == (slot + q - 1) % q
+        assert np.array_equal(state.ring[:, slot].view(complex), kept[_occupied(u0)])
         assert np.array_equal(first.coeffs, kept)
 
 
@@ -317,18 +338,25 @@ class TestHalfSpectrum:
         u0 = initial_data(model, q, cutoff, 1e-2)
         u0 = SpectralField(u0.coeffs, u0.domain_length, real_valued)
         state = make_solver_state([u0] * q, system, coeffs, dt=1e-2)
-        buffers = list(state.history)
-        rows = 2 * model.data_cutoff + 1
-        assert all(b.shape == (rows, 2 * system.dimension) for b in buffers)
-        for i, buffer in enumerate(buffers):
-            assert not np.shares_memory(buffer, state.scratch)
-            assert not any(np.shares_memory(buffer, other) for other in buffers[i + 1:])
+        buffers = (state.ring, state.scratch, state.step_matrices)
+        rows, width = 2 * model.data_cutoff + 1, 2 * system.dimension
+        assert state.ring.shape == (rows, q, width)
+        assert state.scratch.shape == (rows, q * width)
+        assert state.step_matrices.shape == (rows, q * width, width)
+        assert not np.shares_memory(state.ring, state.scratch)
         for _ in range(q):
             imex_bdf_step(state, system, coeffs)
-        assert all(a is b for a, b in zip(state.history, buffers))
+        assert all(a is b for a, b in zip((state.ring, state.scratch, state.step_matrices), buffers))
         _advance(state, q)
-        assert all(a is b for a, b in zip(state.history, buffers))
+        assert all(a is b for a, b in zip((state.ring, state.scratch, state.step_matrices), buffers))
         assert state.step_index == 2 * q
+        tracemalloc.start()
+        try:
+            _advance(state, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
     def test_run_and_single_steps_name_the_same_blow_up_step(self):
         model = build_model("arz")
@@ -575,6 +603,24 @@ class TestRun:
         u0 = initial_data(model, 2, 4, 1.0)
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             run(u0, model.system_at(1.0), 2, dt, 1.0)
+
+    @pytest.mark.parametrize("dt", [float("nan"), 0.0, -1.0])
+    def test_solver_state_rejects_bad_dt(self, dt):
+        model = build_model("arz")
+        u0 = initial_data(model, 2, 4, 1.0)
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            make_solver_state([u0] * 2, model.system_at(1.0), bdf_coefficients(2), dt)
+
+    @pytest.mark.parametrize(
+        "t_final, t_start, span",
+        [(float("nan"), 0.0, "nan"), (1.0, float("inf"), "-inf"), (-1.0, 0.0, "-1.0")],
+    )
+    def test_bad_interval_is_named(self, t_final, t_start, span):
+        model = build_model("arz")
+        u0 = initial_data(model, 2, 4, 1.0)
+        message = f"interval {span} is not a finite, non-negative multiple of dt 0.1"
+        with pytest.raises(NonIntegerStepCountError, match=re.escape(message)):
+            run(u0, model.system_at(1.0), 2, 0.1, t_final, t_start=t_start)
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_step_map_startup_matches_exact(self, q):

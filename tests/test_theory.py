@@ -11,7 +11,7 @@ from relaxbdf.integrator import (
 )
 from relaxbdf.models import build_model, initial_data
 from relaxbdf.oracle import exact_evolve
-from relaxbdf.spectral import SpectralField, zero_field
+from relaxbdf.spectral import SpectralField, field_inner_product, zero_field
 from relaxbdf.theory import (
     discrete_energy,
     fit_order,
@@ -174,6 +174,26 @@ class TestDiscreteEnergy:
             total = sum(f.l2_norm() ** 2 for f in history)
             energy = discrete_energy(history, system, witness, 1e-3)
             assert lower * total * (1 - 1e-9) <= energy <= upper * total * (1 + 1e-9)
+
+    def test_second_order_energy_is_the_energy_form_alone(self, monkeypatch):
+        # The transcribed q=2 history form is zero, so the energy is the
+        # energy-form sum bit for bit, and the stiff weight is never built.
+        model = build_model("arz")
+        system = model.system_at(1e-2)
+        u0 = initial_data(model, 2, 8, 1e-2)
+        history = [u0, exact_evolve(u0, system, 1e-2)]
+        symmetrizer = np.asarray(model.witness.symmetrizer)
+        expected = 0.0
+        for i, j in np.ndindex(2, 2):
+            g = multiplier_data(2).energy_form[i, j]
+            if g != 0.0:
+                expected += g * field_inner_product(history[i], history[j], symmetrizer)
+
+        def unused(self):
+            raise AssertionError("the stiff weight of a zero history form was built")
+
+        monkeypatch.setattr(type(model.witness), "normal_form_symmetrizer", unused)
+        assert discrete_energy(history, system, model.witness, 1e-2) == expected
 
     def test_surrogate_for_higher_orders(self):
         model = build_model("grad")
